@@ -9,6 +9,7 @@ The package is organised as a small library plus a command-line front end:
 - ``mlpst.training``    loss, Adam, mini-batch training loop
 - ``mlpst.evaluation``  metrics, naive baselines, evaluation reports
 - ``mlpst.ingestion``   trip aggregation, STGRID1 datasets, synthetic data
+- ``mlpst.fileio``      atomic file output
 - ``mlpst.cli``         the ``mlpst`` command
 
 This module is intentionally import-light so the CLI can configure thread

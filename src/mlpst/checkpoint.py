@@ -25,6 +25,7 @@ import numpy as np
 
 from . import tree
 from .errors import FormatError
+from .fileio import atomic_open
 from .griddata import NormStats, TemporalConfig
 from .mixer import (
     MixerLayerParams,
@@ -94,14 +95,17 @@ def save_checkpoint(
         entries.append(("stats.lo", np.asarray(stats.lo, dtype=np.float64)))
         entries.append(("stats.hi", np.asarray(stats.hi, dtype=np.float64)))
 
-    payload = bytearray()
+    # each distinct array is stored once; shared leaves repeat its offset
     offsets: dict[int, int] = {}
+    payload = []
+    size = 0
     rows = []
     for leaf_path, arr in entries:
         key = id(arr)
         if key not in offsets:
-            offsets[key] = len(payload)
-            payload += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+            offsets[key] = size
+            payload.append(arr)
+            size += 8 * arr.size
         shape = "x".join(str(s) for s in arr.shape)
         rows.append(f"{leaf_path}\t{shape}\t{offsets[key]}")
 
@@ -114,11 +118,12 @@ def save_checkpoint(
     lines += rows
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
 
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(manifest)))
         fh.write(manifest)
-        fh.write(bytes(payload))
+        for arr in payload:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).data)
 
 
 def _parse_manifest(manifest: str) -> tuple[dict[str, str], str, list[tuple[str, tuple, int]]]:

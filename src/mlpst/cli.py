@@ -175,7 +175,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .griddata import apply_norm, invert_norm
+    from .griddata import apply_norm, invert_norm, required_history
     from .training import _stats_for_output
 
     dataset = ingestion.read_dataset(args.data)
@@ -185,7 +185,10 @@ def cmd_predict(args) -> int:
     anchor = args.at if args.at is not None else dataset.n_steps
     if anchor < 1 or anchor > dataset.n_steps:
         raise ConfigError(f"--at must be in [1, {dataset.n_steps}], got {anchor}")
-    history = apply_norm(dataset.values[:anchor], ckpt.stats)
+    # the window reads only the last required_history maps; normalising is
+    # elementwise, so the rest need not be touched
+    start = max(0, anchor - required_history(ckpt.temporal))
+    history = apply_norm(dataset.values[start:anchor], ckpt.stats)
     pred_norm, _ = mixer.model_forward(history, ckpt.temporal, ckpt.params)
     pred = invert_norm(
         pred_norm, _stats_for_output(ckpt.stats, ckpt.params.predict_channel)

@@ -189,6 +189,20 @@ def slice_dependencies(
     return history[n + trend], history[n + period], history[n + closeness]
 
 
+def check_finite(maps: Array, source: str | None = None) -> None:
+    """Raise :class:`DataError` naming the first time step holding NaN or inf.
+
+    ``maps`` is a ``(T, ...)`` stack; ``source`` (a file name) prefixes the
+    message when given.
+    """
+    bad = ~np.isfinite(maps)
+    if bad.any():
+        step = int(np.argmax(bad.reshape(len(maps), -1).any(axis=1)))
+        value = maps[step][bad[step]][0]
+        where = f"{source}: " if source else ""
+        raise DataError(f"{where}non-finite value {value} at time step {step}")
+
+
 # ---------------------------------------------------------------------------
 # min-max normalisation
 

@@ -23,6 +23,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import DataError, ConfigError, FormatError
+from .fileio import atomic_open
+from .griddata import check_finite
 
 Array = np.ndarray
 
@@ -149,7 +151,8 @@ def parse_trip_row(row: dict) -> TripRecord:
 def read_trips(path, summary: IngestSummary):
     """Yield parseable records from a trips CSV; tally bad rows."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        # a short row's absent fields read as "", which fails to parse
+        reader = csv.DictReader(fh, restval="")
         header = reader.fieldnames or []
         missing = [c for c in TRIP_COLUMNS if c not in header]
         if missing:
@@ -241,10 +244,10 @@ def write_dataset(path, dataset: GridDataset) -> None:
     header = _HEADER.pack(
         dataset.h, dataset.w, dataset.d, t, dataset.interval_seconds, *dataset.box
     )
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(MAGIC)
         fh.write(header)
-        fh.write(np.ascontiguousarray(dataset.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(dataset.values, dtype="<f8").data)
 
 
 def read_dataset(path) -> GridDataset:
@@ -272,6 +275,7 @@ def read_dataset(path) -> GridDataset:
         .astype(np.float64)
         .reshape(t, h, w, d)
     )
+    check_finite(values, str(path))
     return GridDataset(
         h=h, w=w, d=d, interval_seconds=interval, box=tuple(box), values=values
     )

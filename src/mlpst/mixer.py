@@ -444,7 +444,9 @@ def output_head(e_hat: Array, w_out: Array, b_out: Array, h: int, w: int, channe
 
 class ModelCache(NamedTuple):
     lengths: tuple[int, int, int]
-    spatial: SpatialCache
+    spatial: SpatialCache  # over the batch's distinct frames only
+    inverse: Array         # (B, L): window frame -> row of the distinct frames
+    n_frames: int          # U, the number of distinct frames
     temporal: tuple[TemporalCache | None, TemporalCache | None, TemporalCache | None]
     branch_last: tuple[Array | None, Array | None, Array | None]
     e_hat: Array
@@ -467,6 +469,11 @@ def batch_forward(
     ``branch_maps`` holds the trend/period/closeness map stacks, each of
     shape ``(B, len, H, W, d)`` (len may be 0). Returns predictions
     ``(B, H, W, out_channels)`` in the model's (normalised) output space.
+
+    The spatial mixer works per frame, so each distinct frame is embedded
+    once: frames are keyed by their raw bytes (equal bytes give equal
+    embeddings), the first occurrence of each key is embedded, and every
+    window position reads its frame's embedding back.
     """
     lengths = tuple(m.shape[1] for m in branch_maps)
     batch = branch_maps[0].shape[0]
@@ -480,7 +487,16 @@ def batch_forward(
             )
 
     stacked = np.concatenate(branch_maps, axis=1)  # (B, L, H, W, d)
-    e_all, spatial_cache = spatial_mixer_fwd(stacked, params.spatial)
+    flat = stacked.reshape(-1, *stacked.shape[2:])
+    rows: dict[bytes, int] = {}
+    inverse = np.fromiter(
+        (rows.setdefault(frame.tobytes(), len(rows)) for frame in flat),
+        dtype=np.intp, count=len(flat),
+    )
+    _, first = np.unique(inverse, return_index=True)  # rows are numbered first-seen
+    e_frames, spatial_cache = spatial_mixer_fwd(flat[first], params.spatial)
+    inverse = inverse.reshape(stacked.shape[:2])
+    e_all = e_frames[inverse]  # (B, L, d_T)
 
     t, p, _ = lengths
     branch_seqs = (e_all[:, :t], e_all[:, t : t + p], e_all[:, t + p :])
@@ -507,6 +523,8 @@ def batch_forward(
     cache = ModelCache(
         lengths=lengths,
         spatial=spatial_cache,
+        inverse=inverse,
+        n_frames=len(first),
         temporal=tuple(temporal_caches),
         branch_last=branch_last,
         e_hat=e_hat,
@@ -546,8 +564,14 @@ def batch_backward(cache: ModelCache, grad_pred: Array, params: ModelParams) -> 
             g_seq = temporal_mixer_bwd(g_seq, tcache, bp, gbp)
         branch_grads.append(g_seq)
 
-    g_e_all = np.concatenate(branch_grads, axis=1)
-    spatial_mixer_bwd(g_e_all, cache.spatial, params.spatial, grads.spatial)
+    # a frame read by several window positions gets the sum of their
+    # gradients; the stable sort keeps each sum in (window, position) order
+    g_e_all = np.concatenate(branch_grads, axis=1).reshape(-1, d_t)
+    rows = cache.inverse.reshape(-1)
+    order = np.argsort(rows, kind="stable")
+    starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    g_frames = np.add.reduceat(g_e_all[order], starts, axis=0)  # (U, d_T)
+    spatial_mixer_bwd(g_frames, cache.spatial, params.spatial, grads.spatial)
     return grads
 
 

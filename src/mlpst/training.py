@@ -21,6 +21,7 @@ from .griddata import (
     TemporalConfig,
     apply_norm,
     branch_offsets,
+    check_finite,
     fit_norm,
     invert_norm,
     required_history,
@@ -255,6 +256,7 @@ def train(
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim != 4:
         raise DataError(f"expected a (T, H, W, d) stack, got shape {maps.shape}")
+    check_finite(maps)
     n_maps, h, w, d = maps.shape
     temporal = model_cfg.temporal
 
@@ -295,6 +297,11 @@ def train(
         if log is not None:
             log(line)
         result.history.append((epoch, train_loss, val_mae))
+        if not (np.isfinite(train_loss) and np.isfinite(val_mae)):
+            raise DataError(
+                f"training diverged at epoch {epoch}: train_loss {train_loss!r}, "
+                f"val_mae {val_mae!r} (lower lr, or check the data's scale)"
+            )
 
         if val_mae < result.best_val_mae:
             result.best_val_mae = val_mae

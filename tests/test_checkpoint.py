@@ -104,3 +104,17 @@ class TestFormatErrors:
         path.write_bytes(blob[:-16])
         with pytest.raises(FormatError, match="payload"):
             checkpoint.load_checkpoint(path)
+
+
+def test_failed_save_keeps_old_file(tmp_path):
+    cfg, params = build()
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, params, cfg.temporal)
+    old = path.read_bytes()
+    # the manifest and the leading leaves are written before the last leaf
+    # fails to convert to float64
+    params.b_out = np.array(["x"] * params.b_out.size, dtype=object)
+    with pytest.raises(ValueError):
+        checkpoint.save_checkpoint(path, params, cfg.temporal)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from mlpst import ingestion
+from mlpst import ingestion, mixer, training
 from mlpst.cli import main
+from mlpst.errors import DataError
+from mlpst.runconfig import parse_config_file
 
 
 def run(argv):
@@ -211,6 +213,33 @@ class TestEvaluatePredictInspect:
                     "--at", "60", "--out", str(out)]) == 0
         assert ingestion.read_dataset(out).values.shape == (1, 4, 4, 2)
 
+    def test_predict_matches_whole_series_bytes(self, synth_data, trained, tmp_path):
+        from mlpst.checkpoint import load_checkpoint
+        from mlpst.griddata import apply_norm, invert_norm
+
+        out = tmp_path / "pred.stgrid"
+        assert run(["predict", "--data", str(synth_data), "--checkpoint", str(trained),
+                    "--at", "100", "--out", str(out)]) == 0
+        # the whole series before the anchor, normalised and forwarded
+        dataset = ingestion.read_dataset(synth_data)
+        ckpt = load_checkpoint(trained)
+        history = apply_norm(dataset.values[:100], ckpt.stats)
+        pred, _ = mixer.model_forward(history, ckpt.temporal, ckpt.params)
+        want = tmp_path / "want.stgrid"
+        ingestion.write_dataset(want, ingestion.GridDataset(
+            h=4, w=4, d=2, interval_seconds=dataset.interval_seconds, box=dataset.box,
+            values=invert_norm(pred, ckpt.stats)[np.newaxis],
+        ))
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_predict_insufficient_history_exits_2(self, synth_data, trained, tmp_path, capsys):
+        assert run(["predict", "--data", str(synth_data), "--checkpoint", str(trained),
+                    "--at", "10", "--out", str(tmp_path / "pred.stgrid")]) == 2
+        assert capsys.readouterr().err == (
+            "error: insufficient history: 10 steps available but the window reaches "
+            "back to index -14 (needs at least 24 steps)\n"
+        )
+
     def test_inspect_checkpoint_matches_config(self, trained, tiny_config, tmp_path, capsys):
         assert run(["inspect", "--checkpoint", str(trained)]) == 0
         from_ckpt = capsys.readouterr().out
@@ -248,6 +277,48 @@ class TestEvaluatePredictInspect:
 
     def test_usage_error_exits_3(self):
         assert run(["evaluate"]) == 3
+
+
+class TestNonFinite:
+    # synth_data under tiny_config: anchors 24..90 train, 91..99 validate
+    @pytest.mark.parametrize("step, value", [
+        (30, np.nan),
+        (50, np.inf),
+        (70, -np.inf),
+        (95, np.nan),  # in the validation span only
+    ])
+    def test_train_rejects_non_finite_data(self, synth_data, tiny_config, tmp_path, capsys,
+                                           step, value):
+        dataset = ingestion.read_dataset(synth_data)
+        values = dataset.values.copy()
+        values[step, 2, 1, 0] = value
+        bad = tmp_path / "bad.stgrid"
+        ingestion.write_dataset(bad, ingestion.GridDataset(
+            h=4, w=4, d=2, interval_seconds=dataset.interval_seconds, box=dataset.box,
+            values=values,
+        ))
+        out = tmp_path / "m.ckpt"
+        assert run(["train", "--data", str(bad), "--config", str(tiny_config),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: non-finite value {value} at time step {step}\n"
+        assert not out.exists()
+
+        cfg = parse_config_file(tiny_config)
+        with pytest.raises(DataError, match=f"^non-finite value {value} at time step {step}$"):
+            training.train(values, cfg.model_config(), cfg.train_config(), cfg.loss_config())
+
+    def test_diverged_training_exits_2(self, synth_data, tiny_config, tmp_path, capsys):
+        cfg = tmp_path / "huge_lr.cfg"
+        cfg.write_text(tiny_config.read_text().replace("lr = 0.003", "lr = 1e300"))
+        out = tmp_path / "m.ckpt"
+        with np.errstate(all="ignore"):
+            code = run(["train", "--data", str(synth_data), "--config", str(cfg),
+                        "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged at epoch 1:")
+        assert not out.exists()
 
 
 class TestThreadCap:

@@ -134,6 +134,28 @@ class TestTripCsv:
         assert summary.total_rows == 4
         assert summary.unparseable == 3
 
+    def test_short_row_counts_unparseable(self, tmp_path, capsys):
+        # a row holding only a pickup time; the other five fields are absent
+        header = "pickup_datetime,dropoff_datetime,pickup_lat,pickup_lon,dropoff_lat,dropoff_lon\n"
+        path = tmp_path / "trips.csv"
+        path.write_text(header + "10\n")
+        summary = IngestSummary()
+        assert list(ingestion.read_trips(path, summary)) == []
+        assert (summary.total_rows, summary.unparseable) == (1, 1)
+
+        from mlpst.cli import main
+
+        path.write_text(header + "10\n" + "10,20,0.2,0.2,0.8,0.8\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"lat_min": 0, "lat_max": 1, "lon_min": 0, "lon_max": 1, "h": 2, "w": 2,'
+            ' "interval_seconds": 100, "t_start": 0, "t_end": 200}'
+        )
+        out = tmp_path / "out.stgrid"
+        assert main(["ingest", "--trips", str(path), "--spec", str(spec), "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "rows,2" in err and "skipped_unparseable,1" in err
+
     def test_missing_columns(self, tmp_path):
         path = tmp_path / "trips.csv"
         path.write_text("pickup_datetime,dropoff_datetime\n10,20\n")
@@ -179,6 +201,29 @@ class TestStgridFormat:
         path.write_bytes(blob[:-8])
         with pytest.raises(FormatError, match="expected 192.*got 184"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_file_and_step(self, tmp_path, value):
+        values = np.ones((5, 2, 2, 2))
+        values[3, 1, 0, 1] = value
+        path = tmp_path / "data.stgrid"
+        write_dataset(path, GridDataset(h=2, w=2, d=2, interval_seconds=60,
+                                        box=(0, 1, 0, 1), values=values))
+        with pytest.raises(DataError, match=rf"data\.stgrid: non-finite value {value} at time step 3$"):
+            read_dataset(path)
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "data.stgrid"
+        write_dataset(path, GridDataset(h=1, w=1, d=1, interval_seconds=60,
+                                        box=(0, 1, 0, 1), values=np.ones((2, 1, 1, 1))))
+        old = path.read_bytes()
+        # the header is written before the values fail to convert to float64
+        broken = GridDataset(h=1, w=1, d=1, interval_seconds=60, box=(0, 1, 0, 1),
+                             values=np.array([[[["x"]]]], dtype=object))
+        with pytest.raises(ValueError):
+            write_dataset(path, broken)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["data.stgrid"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "data.stgrid"

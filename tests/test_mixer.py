@@ -9,6 +9,7 @@ from mlpst import mixer, tensor, tree
 from mlpst.errors import ConfigError
 from mlpst.gradcheck import central_diff, compare_grads, merge_results, rel_errors
 from mlpst.griddata import TemporalConfig
+from mlpst.training import gather_windows
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +428,78 @@ class TestModelBackward:
             results.append(compare_grads(g, numeric))
         merged = merge_results(results)
         assert merged.ok(tol=1e-4, worst=1e-3, quantile=0.99), merged
+
+
+class TestFrameMerge:
+    """``batch_forward`` embeds each distinct frame of a batch once."""
+
+    # a window reads anchor-16, -8, -6, -3, -2 and -1: six distinct frames,
+    # so a one-window batch merges nothing and serves as the reference
+    TEMPORAL = TemporalConfig(trend=2, period=2, closeness=2, trend_interval=8,
+                              period_interval=3, closeness_interval=1)
+    OFFSETS = np.array([-16, -8, -6, -3, -2, -1])
+    # windows that share frames; the last repeats the first
+    ANCHORS = np.array([16, 17, 18, 19, 20, 16])
+
+    def _batch(self, anchors, seed=21):
+        params = mixer.build_params(small_config(temporal=self.TEMPORAL), 4, 4, 2, seed=seed)
+        rng = np.random.default_rng(seed)
+        randomise_leaves(params, rng)
+        maps = desk_history(rng)
+        return params, gather_windows(maps, anchors, self.TEMPORAL), rng
+
+    def test_matches_per_window_loop(self):
+        params, branch_maps, rng = self._batch(self.ANCHORS)
+        pred, cache = mixer.batch_forward(branch_maps, params)
+        windows = self.ANCHORS[:, None] + self.OFFSETS
+        assert cache.n_frames == len(np.unique(windows)) == 17
+        upstream = rng.normal(size=pred.shape)
+        grads = mixer.batch_backward(cache, upstream, params)
+
+        loop = tree.tree_zeros_like(params)
+        e_hats = []
+        for i in range(len(self.ANCHORS)):
+            one = tuple(m[i : i + 1] for m in branch_maps)
+            _, cache_i = mixer.batch_forward(one, params)
+            assert cache_i.n_frames == len(self.OFFSETS)
+            e_hats.append(cache_i.e_hat[0])
+            grads_i = mixer.batch_backward(cache_i, upstream[i : i + 1], params)
+            for (_, acc), (_, g) in zip(tree.unique_leaves(loop), tree.unique_leaves(grads_i)):
+                acc += g
+        # the head's one matmul rounds a single row differently from a block
+        # of rows (BLAS picks another kernel), so it maps the stacked
+        # per-window embeddings in one call
+        want = mixer.output_head(np.stack(e_hats), params.w_out, params.b_out, 4, 4, 2)
+        np.testing.assert_array_equal(pred, want)
+        for (path, g), (_, ref) in zip(tree.unique_leaves(grads), tree.unique_leaves(loop)):
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), path
+
+    def test_spatial_multiplies_follow_distinct_frames(self, monkeypatch):
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                with tensor.count_multiplies() as counter:
+                    out = fn(*args)
+                counts[name] = counter.count
+                return out
+            return wrapper
+
+        for name in ("spatial_mixer_fwd", "spatial_mixer_bwd"):
+            monkeypatch.setattr(mixer, name, counted(name, getattr(mixer, name)))
+
+        def spatial_counts(anchors):
+            params, branch_maps, rng = self._batch(anchors)
+            pred, cache = mixer.batch_forward(branch_maps, params)
+            mixer.batch_backward(cache, rng.normal(size=pred.shape), params)
+            return counts["spatial_mixer_fwd"], counts["spatial_mixer_bwd"], cache.n_frames
+
+        fwd2, bwd2, frames2 = spatial_counts(np.array([16, 17]))
+        fwd5, bwd5, frames5 = spatial_counts(np.array([16, 17, 17, 16, 16]))
+        assert frames2 == frames5 == 10  # anchors 16 and 17 share frames 14 and 15
+        assert (fwd2, bwd2) == (fwd5, bwd5)
+        fwd1, _, _ = spatial_counts(np.array([16]))
+        assert fwd5 * 6 == frames5 * fwd1 < 5 * 6 * fwd1
 
 
 class TestSharing:
