@@ -12,6 +12,10 @@ The manifest has three sections:
   the loader re-shares arrays by offset, so a round trip is bit-exact and
   preserves the sharing topology.
 
+Loading checks the manifest against the structure it rebuilds: a missing
+``[model]`` key, a missing tensor row, a layer count that does not fit
+``n_layers`` and a tensor of the wrong shape each raise ``FormatError``.
+
 Normalisation statistics ride along as ``stats.lo`` / ``stats.hi`` tensor
 rows; they are not trainable parameters and stay outside ``ModelParams``.
 """
@@ -26,7 +30,7 @@ import numpy as np
 from . import tree
 from .errors import FormatError
 from .fileio import atomic_open
-from .griddata import NormStats, TemporalConfig
+from .griddata import NormStats, TemporalConfig, n_patches
 from .mixer import (
     MixerLayerParams,
     ModelParams,
@@ -141,20 +145,36 @@ def _parse_manifest(manifest: str) -> tuple[dict[str, str], str, list[tuple[str,
         elif section == "[config]":
             config_lines.append(line)
         elif section == "[tensors]":
-            leaf_path, shape_text, offset_text = line.split("\t")
-            shape = tuple(int(s) for s in shape_text.split("x")) if shape_text else ()
-            rows.append((leaf_path, shape, int(offset_text)))
+            try:
+                leaf_path, shape_text, offset_text = line.split("\t")
+                shape = tuple(int(s) for s in shape_text.split("x")) if shape_text else ()
+                rows.append((leaf_path, shape, int(offset_text)))
+            except ValueError:
+                raise FormatError(f"bad [tensors] row {line!r}") from None
     return model_kv, "\n".join(config_lines), rows
 
 
-def _nest(rows: dict[str, np.ndarray]) -> dict:
-    """Turn dotted paths into a nested dict tree."""
-    root: dict = {}
+class _Node(dict):
+    """A subtree of tensor paths; looking up a missing child names its path."""
+
+    def __init__(self, path: str = ""):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key: str):
+        raise FormatError(f"checkpoint has no tensor {self.path}{key}")
+
+
+def _nest(rows: dict[str, np.ndarray]) -> _Node:
+    """Turn dotted paths into a nested tree of :class:`_Node`."""
+    root = _Node()
     for leaf_path, arr in rows.items():
         node = root
         parts = leaf_path.split(".")
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
+            if part not in node:
+                node[part] = _Node(f"{node.path}{part}.")
+            node = node[part]
         node[parts[-1]] = arr
     return root
 
@@ -172,6 +192,8 @@ def _build_ln(node: dict, eps: float) -> LayerNormParams:
 def _build_layers(node: dict | None, eps: float) -> list[MixerLayerParams]:
     if not node:
         return []
+    if not all(i.isdigit() for i in node):
+        raise FormatError(f"checkpoint layer paths {node.path}* must be numbered")
     layers = []
     for i in sorted(node, key=int):
         ln = node[i]
@@ -184,6 +206,64 @@ def _build_layers(node: dict | None, eps: float) -> list[MixerLayerParams]:
             )
         )
     return layers
+
+
+def _expect(path: str, arr: np.ndarray, *dims: int | None) -> None:
+    """Raise ``FormatError`` unless ``arr`` has shape ``dims`` (None: any length)."""
+    if len(dims) != arr.ndim or any(n is not None and n != s for n, s in zip(dims, arr.shape)):
+        want = "x".join("*" if n is None else str(n) for n in dims)
+        got = "x".join(str(s) for s in arr.shape) or "scalar"
+        raise FormatError(
+            f"checkpoint tensor {path} has shape {got}; the model structure needs {want}"
+        )
+
+
+def _check_structure(params: ModelParams) -> None:
+    """Check every leaf's shape and every stack's layer count.
+
+    Widths the manifest does not record (``C_S`` and the MLPs' hidden
+    widths) are read off the first leaf that holds them and checked on
+    the others.
+    """
+    sp = params.spatial
+    h, w, patch = params.grid_h, params.grid_w, sp.patch
+    if patch < 1 or h % patch or w % patch:
+        raise FormatError(f"checkpoint patch={patch} does not divide the {h}x{w} grid")
+    _expect("spatial.fc_w", sp.fc_w, patch * patch * params.grid_d, None)
+    c_s = sp.fc_w.shape[1]
+    _expect("spatial.fc_b", sp.fc_b, c_s)
+    n_p = n_patches(h, w, patch)
+    d_t = n_p * c_s
+    stacks = [("spatial", sp, n_p, c_s)] + [
+        (f"temporal_{name}", bp, bp.seq_len, d_t)
+        for name in ("trend", "period", "closeness")
+        if (bp := getattr(params, f"temporal_{name}")) is not None
+    ]
+    for name, stack, n_tokens, n_channels in stacks:
+        count = len(stack.layers)
+        if count != stack.n_layers and not (count == 1 and stack.n_layers > 1):
+            raise FormatError(
+                f"checkpoint {name}.layers holds {count} layers for n_layers={stack.n_layers}"
+            )
+        for i, layer in enumerate(stack.layers):
+            prefix = f"{name}.layers.{i}"
+            for mlp_name, dim in (("token_mlp", n_tokens), ("channel_mlp", n_channels)):
+                mlp = getattr(layer, mlp_name)
+                path = f"{prefix}.{mlp_name}"
+                _expect(f"{path}.w_in", mlp.w_in, dim, None)
+                hidden = mlp.w_in.shape[1]
+                _expect(f"{path}.b_in", mlp.b_in, hidden)
+                _expect(f"{path}.w_out", mlp.w_out, hidden, dim)
+                _expect(f"{path}.b_out", mlp.b_out, dim)
+            for ln_name in ("ln_tokens", "ln_channels"):
+                ln = getattr(layer, ln_name)
+                _expect(f"{prefix}.{ln_name}.gamma", ln.gamma, n_channels)
+                _expect(f"{prefix}.{ln_name}.beta", ln.beta, n_channels)
+    for name in ("w_trend", "w_period", "w_closeness"):
+        _expect(name, getattr(params, name), d_t)
+    out_dim = h * w * params.out_channels
+    _expect("w_out", params.w_out, d_t, out_dim)
+    _expect("b_out", params.b_out, out_dim)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -231,19 +311,31 @@ def load_checkpoint(path) -> Checkpoint:
     if "stats.lo" in arrays:
         stats = NormStats(lo=arrays.pop("stats.lo"), hi=arrays.pop("stats.hi"))
 
+    def value(key: str) -> str:
+        if key not in model_kv:
+            raise FormatError(f"checkpoint manifest has no [model] key {key!r}")
+        return model_kv[key]
+
+    def integer(key: str) -> int:
+        text = value(key)
+        try:
+            return int(text)
+        except ValueError:
+            raise FormatError(f"checkpoint [model] key {key!r} is not an integer: {text!r}") from None
+
     eps = float(model_kv.get("ln_eps", "1e-5"))
     nested = _nest(arrays)
 
-    spatial_node = nested.get("spatial", {})
+    spatial_node = nested["spatial"]
     spatial = SpatialMixerParams(
-        patch=int(model_kv["patch"]),
+        patch=integer("patch"),
         fc_w=spatial_node["fc_w"],
         fc_b=spatial_node["fc_b"],
         layers=_build_layers(spatial_node.get("layers"), eps),
-        n_layers=int(model_kv["spatial_n_layers"]),
+        n_layers=integer("spatial_n_layers"),
     )
 
-    variant = model_kv["variant"]
+    variant = value("variant")
 
     def build_branch(name: str, seq_len: int) -> TemporalMixerParams | None:
         if seq_len == 0 or variant == "mlp_sa":
@@ -252,37 +344,38 @@ def load_checkpoint(path) -> Checkpoint:
         return TemporalMixerParams(
             seq_len=seq_len,
             layers=_build_layers(node.get("layers"), eps),
-            n_layers=int(model_kv[f"{name}_n_layers"]),
+            n_layers=integer(f"{name}_n_layers"),
         )
 
     temporal_cfg = TemporalConfig(
-        trend=int(model_kv["trend"]),
-        period=int(model_kv["period"]),
-        closeness=int(model_kv["closeness"]),
-        trend_interval=int(model_kv["trend_interval"]),
-        period_interval=int(model_kv["period_interval"]),
-        closeness_interval=int(model_kv["closeness_interval"]),
-        block_mode=model_kv["block_mode"] == "true",
-        enforce_interval_order=model_kv["enforce_interval_order"] == "true",
+        trend=integer("trend"),
+        period=integer("period"),
+        closeness=integer("closeness"),
+        trend_interval=integer("trend_interval"),
+        period_interval=integer("period_interval"),
+        closeness_interval=integer("closeness_interval"),
+        block_mode=value("block_mode") == "true",
+        enforce_interval_order=value("enforce_interval_order") == "true",
     )
 
     predict_channel = (
-        None if model_kv["predict_channel"] == "" else int(model_kv["predict_channel"])
+        None if value("predict_channel") == "" else integer("predict_channel")
     )
     params = ModelParams(
-        grid_h=int(model_kv["grid_h"]),
-        grid_w=int(model_kv["grid_w"]),
-        grid_d=int(model_kv["grid_d"]),
+        grid_h=integer("grid_h"),
+        grid_w=integer("grid_w"),
+        grid_d=integer("grid_d"),
         spatial=spatial,
         temporal_trend=build_branch("trend", temporal_cfg.trend),
         temporal_period=build_branch("period", temporal_cfg.period),
         temporal_closeness=build_branch("closeness", temporal_cfg.closeness),
-        w_trend=arrays["w_trend"],
-        w_period=arrays["w_period"],
-        w_closeness=arrays["w_closeness"],
-        w_out=arrays["w_out"],
-        b_out=arrays["b_out"],
+        w_trend=nested["w_trend"],
+        w_period=nested["w_period"],
+        w_closeness=nested["w_closeness"],
+        w_out=nested["w_out"],
+        b_out=nested["b_out"],
         variant=variant,
         predict_channel=predict_channel,
     )
+    _check_structure(params)
     return Checkpoint(params=params, temporal=temporal_cfg, config_text=config_text, stats=stats)

@@ -176,7 +176,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     from .griddata import apply_norm, invert_norm, required_history
-    from .training import _stats_for_output
+    from .training import stats_for_output
 
     dataset = ingestion.read_dataset(args.data)
     ckpt = load_checkpoint(args.checkpoint)
@@ -191,7 +191,7 @@ def cmd_predict(args) -> int:
     history = apply_norm(dataset.values[start:anchor], ckpt.stats)
     pred_norm, _ = mixer.model_forward(history, ckpt.temporal, ckpt.params)
     pred = invert_norm(
-        pred_norm, _stats_for_output(ckpt.stats, ckpt.params.predict_channel)
+        pred_norm, stats_for_output(ckpt.stats, ckpt.params.predict_channel)
     )
     out = ingestion.GridDataset(
         h=dataset.h, w=dataset.w, d=pred.shape[-1],

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigError, DataError, MlpstError
 from .griddata import NormStats, TemporalConfig, apply_norm, invert_norm
 from .mixer import ModelParams, param_total
-from .training import _stats_for_output, predict_batches, select_target
+from .training import predict_batches, select_target, stats_for_output
 
 Array = np.ndarray
 
@@ -174,7 +174,7 @@ def evaluate_model(
     preds_norm = predict_batches(params, normed, anchors, temporal, batch_size)
     elapsed = time.monotonic() - t0
     n_batches = -(-anchors.size // batch_size)
-    preds = invert_norm(preds_norm, _stats_for_output(stats, params.predict_channel))
+    preds = invert_norm(preds_norm, stats_for_output(stats, params.predict_channel))
     targets = select_target(maps[anchors], params.predict_channel)
     return _metrics_report(
         preds,

@@ -2,13 +2,14 @@
 
 Forward passes operate on a whole batch at once; every op has a hand-paired
 backward. A mixer layer follows MLP-Mixer (Tolstikhin et al., 2021): the
-token-mixing half normalises each token over its channels, transposes, and
-runs an MLP across the token axis; the channel-mixing half normalises over
-channels again and runs an MLP across the channel axis. Both halves add
-their output to their input, so zeroing the MLPs' output weights makes the
-layer an exact identity. Every mixing MLP's ``w_out`` starts at zero, so a
-freshly built model is ``head(fuse(per-patch FC embeddings))`` and each
-mixer starts as the identity it would be replaced by in an ablation.
+token-mixing half normalises each token over its channels and runs an MLP
+across the token axis, for each channel; the channel-mixing half
+normalises over channels again and runs an MLP across the channel axis.
+Both halves add their output to their input, so zeroing the MLPs' output
+weights makes the layer an exact identity. Every mixing MLP's ``w_out``
+starts at zero, so a freshly built model is ``head(fuse(per-patch FC
+embeddings))`` and each mixer starts as the identity it would be replaced
+by in an ablation.
 
 Parameter sharing: a mixer stack holds either one layer applied
 ``n_layers`` times (shared, the default) or ``n_layers`` distinct layers.
@@ -30,7 +31,9 @@ from .tensor import (
     LayerNormParams,
     MlpBlockCache,
     MlpBlockParams,
-    _flat2,
+    column_mlp_bwd,
+    column_mlp_fwd,
+    dense_grads,
     layernorm_bwd,
     layernorm_fwd,
     layernorm_init,
@@ -38,8 +41,6 @@ from .tensor import (
     mlp_block_bwd,
     mlp_block_fwd,
     mlp_block_init,
-    mlp_bwd,
-    mlp_fwd,
     init_params,
 )
 from . import tree
@@ -56,9 +57,10 @@ class MixerLayerParams:
     """One token-mixing + channel-mixing layer.
 
     Both LayerNorms normalise each token over the channel axis, as in
-    MLP-Mixer: ``ln_tokens`` runs before the transpose that feeds
-    ``token_mlp`` (a ``n_tokens -> hidden -> n_tokens`` MLP), ``ln_channels``
-    before ``channel_mlp``. Both therefore have width ``n_channels``.
+    MLP-Mixer: ``ln_tokens`` runs before ``token_mlp`` (a ``n_tokens ->
+    hidden -> n_tokens`` MLP applied to each channel's column of tokens),
+    ``ln_channels`` before ``channel_mlp``. Both therefore have width
+    ``n_channels``.
     """
 
     token_mlp: MlpBlockParams
@@ -258,21 +260,23 @@ def token_mixing_fwd(
     """``u = v + mlp(layernorm(v)^T)^T`` for ``v`` of shape ``(..., tokens, channels)``.
 
     LayerNorm runs per token over the channels; the MLP then mixes across
-    tokens, independently for each channel.
+    tokens, independently for each channel. The MLP's weights multiply from
+    the left, so nothing is transposed and every cached array is contiguous.
     """
     xn, ln_cache = layernorm_fwd(v, ln)
-    xt = np.swapaxes(xn, -2, -1)
-    z, h, a = mlp_fwd(xt, mlp)
-    return v + np.swapaxes(z, -2, -1), MlpBlockCache(xn=xt, h=h, a=a, ln=ln_cache)
+    z, h, cdf = column_mlp_fwd(xn, mlp)
+    z += v
+    return z, MlpBlockCache(xn=xn, h=h, cdf=cdf, ln=ln_cache)
 
 
 def token_mixing_bwd(
     grad_u: Array, cache: MlpBlockCache, mlp: MlpBlockParams, ln: LayerNormParams
 ) -> tuple[Array, MlpBlockParams, LayerNormParams]:
     """Backward of :func:`token_mixing_fwd`: ``(dv, mlp grads, layernorm grads)``."""
-    dxt, grads = mlp_bwd(np.swapaxes(grad_u, -2, -1), cache, mlp)
-    dx_ln, dgamma, dbeta = layernorm_bwd(np.swapaxes(dxt, -2, -1), cache.ln, ln)
-    return grad_u + dx_ln, grads, LayerNormParams(gamma=dgamma, beta=dbeta, eps=ln.eps)
+    dxn, grads = column_mlp_bwd(grad_u, cache, mlp)
+    dv, dgamma, dbeta = layernorm_bwd(dxn, cache.ln, ln)
+    dv += grad_u
+    return dv, grads, LayerNormParams(gamma=dgamma, beta=dbeta, eps=ln.eps)
 
 
 def mixer_layer_fwd(
@@ -368,8 +372,9 @@ def spatial_mixer_bwd(
     """Accumulate spatial parameter gradients; input gradients are not needed."""
     gy = grad_e.reshape(cache.v_shape)
     gv = mixer_stack_bwd(gy, cache.layer_caches, p.layers, p.n_layers, grads.layers)
-    grads.fc_w += matmul(_flat2(cache.tokens).T, _flat2(gv))
-    grads.fc_b += _flat2(gv).sum(axis=0)
+    dw, db = dense_grads(cache.tokens, gv)
+    grads.fc_w += dw
+    grads.fc_b += db
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +569,28 @@ def batch_backward(cache: ModelCache, grad_pred: Array, params: ModelParams) -> 
             g_seq = temporal_mixer_bwd(g_seq, tcache, bp, gbp)
         branch_grads.append(g_seq)
 
-    # a frame read by several window positions gets the sum of their
-    # gradients; the stable sort keeps each sum in (window, position) order
     g_e_all = np.concatenate(branch_grads, axis=1).reshape(-1, d_t)
-    rows = cache.inverse.reshape(-1)
-    order = np.argsort(rows, kind="stable")
-    starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
-    g_frames = np.add.reduceat(g_e_all[order], starts, axis=0)  # (U, d_T)
+    g_frames = sum_rows(g_e_all, cache.inverse.reshape(-1), cache.n_frames)  # (U, d_T)
     spatial_mixer_bwd(g_frames, cache.spatial, params.spatial, grads.spatial)
     return grads
+
+
+def sum_rows(values: Array, rows: Array, n_rows: int) -> Array:
+    """``out[r] = sum of values[i] with rows[i] == r``, added in order of ``i``.
+
+    Equal to ``np.add.at`` into zeros, bit for bit. The ``k``-th occurrences
+    of all rows are added in one indexed add (their rows are distinct), for
+    ``k`` = 0, 1, ... in turn.
+    """
+    order = np.argsort(rows, kind="stable")
+    first = np.diff(rows[order], prepend=-1) != 0  # a row's first sorted slot
+    rank = np.empty_like(rows)  # how many earlier entries share the row
+    rank[order] = np.arange(len(rows)) - np.flatnonzero(first)[np.cumsum(first) - 1]
+    out = np.zeros((n_rows, values.shape[-1]))
+    for k in range(int(rank.max(initial=-1)) + 1):
+        sel = np.flatnonzero(rank == k)
+        out[rows[sel]] += values[sel]
+    return out
 
 
 def model_forward(

@@ -1,16 +1,17 @@
 """Dense 64-bit numerics with hand-paired forward/backward passes.
 
-Every primitive the model needs lives here: GELU, LayerNorm, the residual
-two-layer MLP block, seeded initialisation, and a matmul wrapper that can
-count scalar multiplies for complexity measurements. There is no autodiff
-tape; each ``*_fwd`` returns a cache that its ``*_bwd`` partner consumes.
+Every primitive the model needs lives here: GELU, LayerNorm, the two-layer
+MLP (row-wise, and column-wise for token mixing), the residual MLP block,
+seeded initialisation, and a matmul wrapper that can count scalar
+multiplies for complexity measurements. There is no autodiff tape; each
+``*_fwd`` returns a cache that its ``*_bwd`` partner consumes.
 
 Conventions:
 
 - arrays are float64, shape ``(..., rows, cols)``; leading axes are batch
   axes and every op treats the last axis as the feature axis,
 - parameter matrices are ``(in_dim, out_dim)`` so a row vector maps through
-  ``row @ w + b``,
+  ``row @ w + b`` (and a column through ``w^T @ col + b``),
 - backward passes never mutate their cache, so one cache supports repeated
   backward calls.
 """
@@ -66,38 +67,65 @@ def count_multiplies():
 
 
 def matmul(a: Array, b: Array) -> Array:
-    """``a @ b`` where ``b`` is 2-D; counts ``batch * n * k * m`` multiplies."""
+    """``a @ b``; counts ``out.size * a.shape[-1]`` multiplies.
+
+    That is one multiply per term of every output entry, whether the batch
+    axes sit on ``a``, on ``b`` or on both.
+    """
+    out = a @ b
     if _active_counter is not None:
-        n, k = a.shape[-2], a.shape[-1]
-        m = b.shape[-1]
-        batch = 1
-        for s in a.shape[:-2]:
-            batch *= s
-        _active_counter.count += batch * n * k * m
-    return a @ b
+        _active_counter.count += out.size * a.shape[-1]
+    return out
 
 
-def _flat2(x: Array) -> Array:
-    """Collapse all leading axes: ``(..., n, m) -> (prod*n, m)``."""
-    return x.reshape(-1, x.shape[-1])
+def dense_grads(x: Array, grad: Array) -> tuple[Array, Array]:
+    """Gradients ``(x^T grad, sum grad)`` of ``w`` and ``b`` in ``x @ w + b``.
+
+    Every leading axis counts as rows; ``x`` and ``grad`` should be
+    C-contiguous so the flattening is a view.
+    """
+    x2 = x.reshape(-1, x.shape[-1])
+    g2 = grad.reshape(-1, grad.shape[-1])
+    return matmul(x2.T, g2), g2.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # GELU
 
 
+def normal_cdf(x):
+    """Standard normal CDF ``Phi(x) = 0.5 * (1 + erf(x / sqrt(2)))``."""
+    # every step updates one fresh array: a large temporary freed mid-pass
+    # can stay resident and raise the process's peak RSS
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty(np.shape(x)))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
 def gelu(x):
     """Exact GELU ``x * Phi(x)`` using the erf form of the normal CDF."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    return x * normal_cdf(x)
 
 
-def gelu_grad(x):
-    """Derivative ``Phi(x) + x * phi(x)`` of the exact GELU."""
+def gelu_grad(x, cdf=None):
+    """Derivative ``Phi(x) + x * phi(x)`` of the exact GELU.
+
+    ``cdf`` is ``normal_cdf(x)`` when the caller kept it from the forward
+    pass; only the density is evaluated then.
+    """
     x = np.asarray(x, dtype=np.float64)
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return cdf + x * pdf
+    if cdf is None:
+        cdf = normal_cdf(x)
+    grad = np.multiply(x, -0.5, out=np.empty(x.shape))
+    grad *= x
+    np.exp(grad, out=grad)
+    grad *= _INV_SQRT_2PI
+    grad *= x
+    grad += cdf
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +154,8 @@ def layernorm_fwd(x: Array, p: LayerNormParams) -> tuple[Array, LayerNormCache]:
     """Normalise each row of the last axis to zero mean / unit variance.
 
     Uses the population (biased) variance, eps-stabilised, then applies the
-    gamma/beta affine map.
+    gamma/beta affine map. ``x`` is centred once; the variance is the mean
+    of the squared centred values, which is how ``np.var`` computes it.
     """
     dim = p.gamma.shape[0]
     if x.shape[-1] != dim:
@@ -134,11 +163,15 @@ def layernorm_fwd(x: Array, p: LayerNormParams) -> tuple[Array, LayerNormCache]:
             f"layernorm dimension mismatch: input has {x.shape[-1]} features, "
             f"params expect {dim}"
         )
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + p.eps)
-    xhat = (x - mean) * inv_std
-    y = p.gamma * xhat + p.beta
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    y = np.multiply(xhat, xhat)
+    inv_std = y.mean(axis=-1, keepdims=True)
+    inv_std += p.eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, p.gamma, out=y)
+    y += p.beta
     return y, LayerNormCache(xhat=xhat, inv_std=inv_std)
 
 
@@ -148,14 +181,16 @@ def layernorm_bwd(
     """Map an upstream gradient to ``(dx, dgamma, dbeta)``."""
     xhat, inv_std = cache
     lead = tuple(range(grad_y.ndim - 1))
-    dgamma = (grad_y * xhat).sum(axis=lead)
+    prod = grad_y * xhat
+    dgamma = prod.sum(axis=lead)
     dbeta = grad_y.sum(axis=lead)
-    dxhat = grad_y * p.gamma
-    dx = (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    ) * inv_std
+    dx = grad_y * p.gamma  # dxhat, turned into dx in place
+    np.multiply(dx, xhat, out=prod)
+    proj = prod.mean(axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, proj, out=prod)
+    dx -= prod
+    dx *= inv_std
     return dx, dgamma, dbeta
 
 
@@ -184,21 +219,17 @@ def mlp_block_init(dim: int, hidden: int, rng) -> MlpBlockParams:
 
 
 class MlpBlockCache(NamedTuple):
-    xn: Array         # MLP input: the LayerNorm output (transposed for token mixing)
+    xn: Array         # MLP input: the LayerNorm output
     h: Array          # pre-activation hidden
-    a: Array          # post-GELU hidden
+    cdf: Array        # normal_cdf(h); the GELU output is h * cdf
     ln: LayerNormCache
 
 
-def mlp_fwd(xn: Array, p: MlpBlockParams) -> tuple[Array, Array, Array]:
-    """``z = gelu(xn @ w_in + b_in) @ w_out + b_out`` row-wise; returns ``(z, h, a)``.
-
-    The bare two-layer MLP, without LayerNorm or residual add.
-    """
+def _check_mlp(p: MlpBlockParams, in_features: int) -> None:
     in_dim, hidden = p.w_in.shape
-    if xn.shape[-1] != in_dim:
+    if in_features != in_dim:
         raise ConfigError(
-            f"mlp block dimension mismatch: input has {xn.shape[-1]} features, "
+            f"mlp block dimension mismatch: input has {in_features} features, "
             f"w_in expects {in_dim}"
         )
     if p.w_out.shape != (hidden, in_dim):
@@ -206,22 +237,69 @@ def mlp_fwd(xn: Array, p: MlpBlockParams) -> tuple[Array, Array, Array]:
             f"mlp block w_out shape {p.w_out.shape} does not invert "
             f"w_in shape {p.w_in.shape}"
         )
-    h = matmul(xn, p.w_in) + p.b_in
-    a = gelu(h)
-    return matmul(a, p.w_out) + p.b_out, h, a
+
+
+def mlp_fwd(xn: Array, p: MlpBlockParams) -> tuple[Array, Array, Array]:
+    """``z = gelu(xn @ w_in + b_in) @ w_out + b_out`` row-wise; returns ``(z, h, cdf)``.
+
+    The bare two-layer MLP, without LayerNorm or residual add; ``cdf`` is
+    ``normal_cdf(h)``, kept for the backward pass.
+    """
+    _check_mlp(p, xn.shape[-1])
+    h = matmul(xn, p.w_in)
+    h += p.b_in
+    cdf = normal_cdf(h)
+    z = matmul(h * cdf, p.w_out)
+    z += p.b_out
+    return z, h, cdf
 
 
 def mlp_bwd(
     grad_z: Array, cache: MlpBlockCache, p: MlpBlockParams
 ) -> tuple[Array, MlpBlockParams]:
     """Backward of :func:`mlp_fwd`: ``(dxn, block grads)``."""
-    da = matmul(grad_z, p.w_out.T)
-    dw_out = matmul(_flat2(cache.a).T, _flat2(grad_z))
-    db_out = _flat2(grad_z).sum(axis=0)
-    dh = da * gelu_grad(cache.h)
+    dw_out, db_out = dense_grads(cache.h * cache.cdf, grad_z)
+    dh = matmul(grad_z, p.w_out.T)
+    dh *= gelu_grad(cache.h, cache.cdf)
+    dw_in, db_in = dense_grads(cache.xn, dh)
     dxn = matmul(dh, p.w_in.T)
-    dw_in = matmul(_flat2(cache.xn).T, _flat2(dh))
-    db_in = _flat2(dh).sum(axis=0)
+    return dxn, MlpBlockParams(w_in=dw_in, b_in=db_in, w_out=dw_out, b_out=db_out)
+
+
+def column_mlp_fwd(xn: Array, p: MlpBlockParams) -> tuple[Array, Array, Array]:
+    """:func:`mlp_fwd` applied to every column of ``xn`` ``(..., rows, cols)``.
+
+    The weights multiply from the left, so the result keeps the input's
+    layout: ``z = w_out^T gelu(w_in^T xn + b_in) + b_out`` with the biases
+    broadcast along the columns. Returns ``(z, h, cdf)``, ``h`` and ``cdf``
+    of shape ``(..., hidden, cols)``.
+    """
+    _check_mlp(p, xn.shape[-2])
+    h = matmul(p.w_in.T, xn)
+    h += p.b_in[:, None]
+    cdf = normal_cdf(h)
+    z = matmul(p.w_out.T, h * cdf)
+    z += p.b_out[:, None]
+    return z, h, cdf
+
+
+def column_mlp_bwd(
+    grad_z: Array, cache: MlpBlockCache, p: MlpBlockParams
+) -> tuple[Array, MlpBlockParams]:
+    """Backward of :func:`column_mlp_fwd`: ``(dxn, block grads)``.
+
+    Weight gradients are batched products summed over the leading axes;
+    bias gradients sum over the leading axes first, which adds whole
+    contiguous slabs, then along the columns.
+    """
+    lead = tuple(range(grad_z.ndim - 2))
+    dw_out = matmul(cache.h * cache.cdf, np.swapaxes(grad_z, -1, -2)).sum(axis=lead)
+    db_out = grad_z.sum(axis=lead).sum(axis=-1)
+    dh = matmul(p.w_out, grad_z)
+    dh *= gelu_grad(cache.h, cache.cdf)
+    dw_in = matmul(cache.xn, np.swapaxes(dh, -1, -2)).sum(axis=lead)
+    db_in = dh.sum(axis=lead).sum(axis=-1)
+    dxn = matmul(p.w_in, dh)
     return dxn, MlpBlockParams(w_in=dw_in, b_in=db_in, w_out=dw_out, b_out=db_out)
 
 
@@ -230,8 +308,9 @@ def mlp_block_fwd(
 ) -> tuple[Array, MlpBlockCache]:
     """``y = x + gelu(layernorm(x) @ w_in + b_in) @ w_out + b_out`` row-wise."""
     xn, ln_cache = layernorm_fwd(x, ln)
-    z, h, a = mlp_fwd(xn, p)
-    return x + z, MlpBlockCache(xn=xn, h=h, a=a, ln=ln_cache)
+    z, h, cdf = mlp_fwd(xn, p)
+    z += x
+    return z, MlpBlockCache(xn=xn, h=h, cdf=cdf, ln=ln_cache)
 
 
 def mlp_block_bwd(
@@ -242,8 +321,9 @@ def mlp_block_bwd(
     Gradient containers reuse the parameter dataclasses (same shapes).
     """
     dxn, grads = mlp_bwd(grad_y, cache, p)
-    dx_ln, dgamma, dbeta = layernorm_bwd(dxn, cache.ln, ln)
-    return grad_y + dx_ln, grads, LayerNormParams(gamma=dgamma, beta=dbeta, eps=ln.eps)
+    dx, dgamma, dbeta = layernorm_bwd(dxn, cache.ln, ln)
+    dx += grad_y
+    return dx, grads, LayerNormParams(gamma=dgamma, beta=dbeta, eps=ln.eps)
 
 
 # ---------------------------------------------------------------------------

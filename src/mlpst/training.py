@@ -289,7 +289,7 @@ def train(
         train_loss = float(np.mean(batch_losses))
 
         val_pred = predict_batches(params, normed, parts.val, temporal, train_cfg.batch_size)
-        val_pred_raw = invert_norm(val_pred, _stats_for_output(stats, params.predict_channel))
+        val_pred_raw = invert_norm(val_pred, stats_for_output(stats, params.predict_channel))
         val_mae = float(np.abs(val_pred_raw - val_targets_raw).mean())
 
         line = f"epoch,{epoch},train_loss,{train_loss!r},val_mae,{val_mae!r}"
@@ -324,7 +324,8 @@ def train(
     return result
 
 
-def _stats_for_output(stats: NormStats, predict_channel: int | None) -> NormStats:
+def stats_for_output(stats: NormStats, predict_channel: int | None) -> NormStats:
+    """The stats of the channels a model predicts: all, or ``predict_channel``'s."""
     if predict_channel is None:
         return stats
     sl = slice(predict_channel, predict_channel + 1)

@@ -1,5 +1,7 @@
 """Tests for the MLPST1 checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,111 @@ class TestFormatErrors:
         path.write_bytes(blob[:-16])
         with pytest.raises(FormatError, match="payload"):
             checkpoint.load_checkpoint(path)
+
+
+def rewrite_manifest(path, edit):
+    """Replace the manifest of the checkpoint at ``path`` by ``edit(lines)``."""
+    blob = path.read_bytes()
+    head = len(checkpoint.MAGIC)
+    (length,) = struct.unpack("<I", blob[head:head + 4])
+    lines = blob[head + 4:head + 4 + length].decode("utf-8").splitlines()
+    manifest = ("\n".join(edit(lines)) + "\n").encode("utf-8")
+    path.write_bytes(
+        checkpoint.MAGIC + struct.pack("<I", len(manifest)) + manifest
+        + blob[head + 4 + length:]
+    )
+
+
+def drop_key(key):
+    return lambda lines: [ln for ln in lines if not ln.startswith(f"{key}=")]
+
+
+def reshape_leaf(leaf, shape):
+    def edit(lines):
+        out = []
+        for ln in lines:
+            parts = ln.split("\t")
+            if parts[0] == leaf:
+                parts[1] = shape
+            out.append("\t".join(parts))
+        return out
+    return edit
+
+
+def drop_leaf(leaf):
+    return lambda lines: [ln for ln in lines if ln.split("\t")[0] != leaf]
+
+
+# build() has a 4x6x2 grid, patch 2 (6 patches), C_S = 4, d_T = 24, hidden 5
+MALFORMED_MANIFESTS = [
+    ("missing patch", drop_key("patch"), "key 'patch'"),
+    ("missing grid_h", drop_key("grid_h"), "key 'grid_h'"),
+    ("missing variant", drop_key("variant"), "key 'variant'"),
+    ("missing spatial_n_layers", drop_key("spatial_n_layers"), "key 'spatial_n_layers'"),
+    ("missing closeness_n_layers", drop_key("closeness_n_layers"), "key 'closeness_n_layers'"),
+    ("missing closeness", drop_key("closeness"), "key 'closeness'"),
+    ("missing predict_channel", drop_key("predict_channel"), "key 'predict_channel'"),
+    ("non-integer grid_w", lambda ls: [("grid_w=six" if ln.startswith("grid_w=") else ln) for ln in ls],
+     "key 'grid_w' is not an integer"),
+    ("transposed fc_w", reshape_leaf("spatial.fc_w", "4x8"), "spatial.fc_w has shape 4x8"),
+    ("ln_tokens sized by tokens", reshape_leaf("spatial.layers.0.ln_tokens.gamma", "6"),
+     "spatial.layers.0.ln_tokens.gamma has shape 6"),
+    ("token w_out too narrow", reshape_leaf("temporal_closeness.layers.0.token_mlp.w_out", "5x3"),
+     "temporal_closeness.layers.0.token_mlp.w_out has shape 5x3; the model structure needs 5x4"),
+    ("channel b_in of the wrong width", reshape_leaf("temporal_trend.layers.0.channel_mlp.b_in", "2"),
+     "temporal_trend.layers.0.channel_mlp.b_in has shape 2"),
+    ("head flattened", reshape_leaf("w_out", "1152"), "w_out has shape 1152; the model structure needs 24x48"),
+    ("fusion weight as a matrix", reshape_leaf("w_period", "4x6"), "w_period has shape 4x6"),
+    ("missing head bias", drop_leaf("b_out"), "no tensor b_out"),
+    ("missing layer leaf", drop_leaf("spatial.layers.0.ln_channels.beta"),
+     "no tensor spatial.layers.0.ln_channels.beta"),
+    ("garbled tensor row", lambda ls: [("spatial.fc_w\tfour\t0" if ln.startswith("spatial.fc_w\t") else ln)
+                                      for ln in ls], "bad [tensors] row"),
+    ("unnumbered layer", lambda ls: [ln.replace("spatial.layers.1.", "spatial.layers.one.") for ln in ls],
+     "spatial.layers.* must be numbered"),
+    ("too many spatial layers", lambda ls: [("spatial_n_layers=3" if ln.startswith("spatial_n_layers=") else ln)
+                                           for ln in ls], "spatial.layers holds 2 layers for n_layers=3"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", [case[1:] for case in MALFORMED_MANIFESTS],
+    ids=[case[0] for case in MALFORMED_MANIFESTS],
+)
+def test_malformed_manifest_is_a_format_error(tmp_path, edit, message):
+    cfg, params = build(share_layers=False)
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, params, cfg.temporal)
+    checkpoint.load_checkpoint(path)  # the unedited file loads
+    rewrite_manifest(path, edit)
+    with pytest.raises(FormatError) as info:
+        checkpoint.load_checkpoint(path)
+    text = str(info.value)
+    assert message in text
+    assert "\n" not in text
+
+
+def test_malformed_checkpoint_exits_2_with_one_line(tmp_path, capsys):
+    from mlpst.cli import main
+
+    cfg, params = build()
+    data = tmp_path / "d.stgrid"
+    assert main(["synth", "--kind", "periodic", "--out", str(data), "--height", "4",
+                 "--width", "6", "--steps", "60", "--period", "12", "--seed", "1"]) == 0
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, params, cfg.temporal,
+                               stats=NormStats(lo=np.zeros(2), hi=np.ones(2)))
+    for edit, message in ((drop_key("patch"), "key 'patch'"),
+                          (reshape_leaf("spatial.fc_b", "5"), "spatial.fc_b has shape 5")):
+        rewrite_manifest(path, edit)
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "p.stgrid")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and len(err.strip().splitlines()) == 1
+        checkpoint.save_checkpoint(path, params, cfg.temporal,
+                                   stats=NormStats(lo=np.zeros(2), hi=np.ones(2)))
 
 
 def test_failed_save_keeps_old_file(tmp_path):

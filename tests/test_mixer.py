@@ -165,6 +165,92 @@ class TestMixerLayer:
             assert rel_errors(analytic, numeric).max() < 1e-5
 
 
+def transposed_token_mixing(v, mlp, ln, grad_u):
+    """Token mixing as a row-wise MLP on ``layernorm(v)^T``, forward and backward.
+
+    The formulation the mixer used before it multiplied from the left;
+    kept here only as a reference. Returns ``(u, (dv, dw_in, db_in, dw_out,
+    db_out, dgamma, dbeta))``.
+    """
+    def flat(x):
+        return x.reshape(-1, x.shape[-1])
+
+    xn, ln_cache = tensor.layernorm_fwd(v, ln)
+    xt = np.swapaxes(xn, -2, -1)
+    h = xt @ mlp.w_in + mlp.b_in
+    a = tensor.gelu(h)
+    u = v + np.swapaxes(a @ mlp.w_out + mlp.b_out, -2, -1)
+
+    gz = np.swapaxes(grad_u, -2, -1)
+    dw_out = flat(a).T @ flat(gz)
+    db_out = flat(gz).sum(axis=0)
+    dh = (gz @ mlp.w_out.T) * tensor.gelu_grad(h)
+    dw_in = flat(xt).T @ flat(dh)
+    db_in = flat(dh).sum(axis=0)
+    dx_ln, dgamma, dbeta = tensor.layernorm_bwd(np.swapaxes(dh @ mlp.w_in.T, -2, -1), ln_cache, ln)
+    return u, (grad_u + dx_ln, dw_in, db_in, dw_out, db_out, dgamma, dbeta)
+
+
+def cache_arrays(node):
+    if isinstance(node, np.ndarray):
+        return [node]
+    return [a for item in node for a in cache_arrays(item)]
+
+
+class TestTokenMixingLayout:
+    """``token_mixing_fwd/bwd`` against the transposed formulation."""
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
+    @pytest.mark.parametrize("n_tok, n_ch, hidden", [(1, 1, 1), (1, 5, 3), (6, 1, 2), (5, 7, 4), (12, 20, 8)])
+    def test_matches_transposed_formulation(self, lead, n_tok, n_ch, hidden):
+        rng = np.random.default_rng(n_tok * 1000 + n_ch * 10 + len(lead))
+        p = random_layer(rng, n_tok, n_ch, hidden=hidden)
+        v = rng.normal(size=lead + (n_tok, n_ch))
+        grad_u = rng.normal(size=v.shape)
+        u, cache = mixer.token_mixing_fwd(v, p.token_mlp, p.ln_tokens)
+        dv, g_mlp, g_ln = mixer.token_mixing_bwd(grad_u, cache, p.token_mlp, p.ln_tokens)
+        ref_u, ref_grads = transposed_token_mixing(v, p.token_mlp, p.ln_tokens, grad_u)
+        got = (dv, g_mlp.w_in, g_mlp.b_in, g_mlp.w_out, g_mlp.b_out, g_ln.gamma, g_ln.beta)
+        assert u.shape == v.shape
+        assert np.abs(u - ref_u).max() <= 1e-12 * max(np.abs(ref_u).max(), 1.0)
+        for name, g, ref in zip(("dv", "w_in", "b_in", "w_out", "b_out", "gamma", "beta"), got, ref_grads):
+            assert g.shape == ref.shape, name
+            assert np.abs(g - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300), name
+        for arr in cache_arrays(cache):
+            assert arr.flags.c_contiguous
+
+    def test_layernorm_backward_gets_contiguous_gradient(self, monkeypatch):
+        seen = []
+        real = mixer.layernorm_bwd
+
+        def spy(grad_y, cache, p):
+            seen.append(grad_y.flags.c_contiguous)
+            return real(grad_y, cache, p)
+
+        monkeypatch.setattr(mixer, "layernorm_bwd", spy)
+        rng = np.random.default_rng(3)
+        p = random_layer(rng, 4, 6, hidden=3)
+        v = rng.normal(size=(2, 4, 6))
+        _, cache = mixer.token_mixing_fwd(v, p.token_mlp, p.ln_tokens)
+        mixer.token_mixing_bwd(rng.normal(size=v.shape), cache, p.token_mlp, p.ln_tokens)
+        assert seen == [True]
+
+    def test_second_backward_identical_and_cache_unmodified(self):
+        rng = np.random.default_rng(4)
+        p = random_layer(rng, 5, 3, hidden=2)
+        v = rng.normal(size=(2, 5, 3))
+        grad_u = rng.normal(size=v.shape)
+        _, cache = mixer.token_mixing_fwd(v, p.token_mlp, p.ln_tokens)
+        kept = [a.copy() for a in cache_arrays(cache)]
+        first = mixer.token_mixing_bwd(grad_u, cache, p.token_mlp, p.ln_tokens)
+        second = mixer.token_mixing_bwd(grad_u, cache, p.token_mlp, p.ln_tokens)
+        np.testing.assert_array_equal(first[0], second[0])
+        for (_, a), (_, b) in zip(tree.iter_leaves(first[1:]), tree.iter_leaves(second[1:])):
+            np.testing.assert_array_equal(a, b)
+        for before, after in zip(kept, cache_arrays(cache)):
+            np.testing.assert_array_equal(before, after)
+
+
 def small_config(**kw):
     defaults = dict(
         temporal=TemporalConfig(trend=2, period=2, closeness=2,
@@ -473,6 +559,36 @@ class TestFrameMerge:
         np.testing.assert_array_equal(pred, want)
         for (path, g), (_, ref) in zip(tree.unique_leaves(grads), tree.unique_leaves(loop)):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), path
+
+    def test_frame_gradients_sum_like_add_at(self, monkeypatch):
+        seen = []
+        real = mixer.sum_rows
+
+        def spy(values, rows, n_rows):
+            out = real(values, rows, n_rows)
+            seen.append((values, rows, n_rows, out))
+            return out
+
+        monkeypatch.setattr(mixer, "sum_rows", spy)
+        params, branch_maps, rng = self._batch(self.ANCHORS)
+        pred, cache = mixer.batch_forward(branch_maps, params)
+        mixer.batch_backward(cache, rng.normal(size=pred.shape), params)
+        (values, rows, n_rows, g_frames), = seen
+        assert n_rows == cache.n_frames and len(rows) == values.shape[0] == 36
+        want = np.zeros((n_rows, values.shape[1]))
+        np.add.at(want, rows, values)
+        np.testing.assert_array_equal(g_frames, want)
+
+    @pytest.mark.parametrize("n, n_rows", [(0, 3), (1, 1), (40, 7), (500, 60)])
+    def test_sum_rows_bitwise_add_at(self, n, n_rows):
+        rng = np.random.default_rng(n)
+        rows = rng.integers(0, n_rows, size=n)
+        values = rng.normal(scale=10.0, size=(n, 5)) * rng.uniform(1e-8, 1.0, size=(n, 1))
+        want = np.zeros((n_rows, 5))
+        np.add.at(want, rows, values)
+        got = mixer.sum_rows(values, rows, n_rows)
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_spatial_multiplies_follow_distinct_frames(self, monkeypatch):
         counts = {}

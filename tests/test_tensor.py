@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from mlpst import tensor
 from mlpst.errors import ConfigError
@@ -229,8 +230,171 @@ class TestMultiplyCounter:
             tensor.matmul(a, b)
         assert counter.count == 2 * 7 * 3 * 4 * 5
 
+    def test_matrix_times_batch_counts(self):
+        # (5, 4) @ (2, 3, 4, 6): 2*3 products of (5, 4) @ (4, 6)
+        with tensor.count_multiplies() as counter:
+            out = tensor.matmul(np.ones((5, 4)), np.ones((2, 3, 4, 6)))
+        assert out.shape == (2, 3, 5, 6)
+        assert counter.count == 2 * 3 * 5 * 4 * 6
+
+    def test_batch_times_batch_counts(self):
+        with tensor.count_multiplies() as counter:
+            out = tensor.matmul(np.ones((7, 3, 4)), np.ones((7, 4, 2)))
+        assert out.shape == (7, 3, 2)
+        assert counter.count == 7 * 3 * 4 * 2
+
+    def test_left_product_counts_as_transposed_product(self):
+        # w^T @ x over a batch counts what the old (x^T @ w) row form counted
+        w, x = np.ones((9, 5)), np.ones((4, 9, 3))
+        with tensor.count_multiplies() as left:
+            tensor.matmul(w.T, x)
+        with tensor.count_multiplies() as right:
+            tensor.matmul(np.swapaxes(x, -1, -2), w)
+        assert left.count == right.count == 4 * 3 * 9 * 5
+
     def test_inactive_outside_context(self):
         with tensor.count_multiplies() as counter:
             pass
         tensor.matmul(np.ones((2, 2)), np.ones((2, 2)))
         assert counter.count == 0
+
+
+# ---------------------------------------------------------------------------
+# the kernels against the formulas they replaced, bit for bit
+
+
+def old_gelu(x):
+    return 0.5 * x * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+
+
+def old_gelu_grad(x):
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return cdf + x * pdf
+
+
+def old_layernorm_fwd(x, p):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + p.eps)
+    xhat = (x - mean) * inv_std
+    return p.gamma * xhat + p.beta, xhat, inv_std
+
+
+def old_layernorm_bwd(grad_y, xhat, inv_std, p):
+    lead = tuple(range(grad_y.ndim - 1))
+    dgamma = (grad_y * xhat).sum(axis=lead)
+    dbeta = grad_y.sum(axis=lead)
+    dxhat = grad_y * p.gamma
+    dx = (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    ) * inv_std
+    return dx, dgamma, dbeta
+
+
+SHAPES = [(1,), (7,), (1, 1), (3, 1), (4, 9), (2, 3, 20), (2, 2, 3, 5), (5, 50, 20)]
+
+
+def cache_copy(cache):
+    return [np.array(a, copy=True) for a in tree_arrays(cache)]
+
+
+def tree_arrays(node):
+    if isinstance(node, np.ndarray):
+        return [node]
+    return [a for item in node for a in tree_arrays(item)]
+
+
+class TestAgainstReplacedFormulas:
+    def test_gelu_bitwise(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(scale=s, size=4000) for s in (0.1, 1.0, 4.0, 30.0)])
+        x = np.concatenate([x, [0.0, -0.0, 1e-300, -1e-300, 5e-324, 40.0, -40.0]])
+        np.testing.assert_array_equal(tensor.gelu(x), old_gelu(x))
+        cdf = tensor.normal_cdf(x)
+        np.testing.assert_array_equal(x * cdf, old_gelu(x))
+        np.testing.assert_array_equal(tensor.gelu_grad(x), old_gelu_grad(x))
+        np.testing.assert_array_equal(tensor.gelu_grad(x, cdf), old_gelu_grad(x))
+        for v in (0.3, -2.7):
+            assert tensor.gelu(v) == old_gelu(v)
+            assert tensor.gelu_grad(v) == old_gelu_grad(v)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layernorm_bitwise(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        dim = shape[-1]
+        p = tensor.LayerNormParams(gamma=rng.normal(size=dim), beta=rng.normal(size=dim))
+        x = rng.normal(loc=3.0, scale=2.0, size=shape)
+        grad_y = rng.normal(size=shape)
+        y, cache = tensor.layernorm_fwd(x, p)
+        ref_y, ref_xhat, ref_inv_std = old_layernorm_fwd(x, p)
+        np.testing.assert_array_equal(y, ref_y)
+        np.testing.assert_array_equal(cache.xhat, ref_xhat)
+        np.testing.assert_array_equal(cache.inv_std, ref_inv_std)
+        kept = cache_copy(cache)
+        first = tensor.layernorm_bwd(grad_y, cache, p)
+        second = tensor.layernorm_bwd(grad_y, cache, p)
+        for got, again, ref in zip(first, second, old_layernorm_bwd(grad_y, ref_xhat, ref_inv_std, p)):
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(again, ref)
+        for before, after in zip(kept, tree_arrays(cache)):
+            np.testing.assert_array_equal(before, after)
+
+    def test_mlp_forward_bitwise(self):
+        rng = np.random.default_rng(5)
+        p = tensor.MlpBlockParams(
+            w_in=rng.normal(size=(6, 4)), b_in=rng.normal(size=4),
+            w_out=rng.normal(size=(4, 6)), b_out=rng.normal(size=6),
+        )
+        xn = rng.normal(size=(3, 5, 6))
+        z, h, cdf = tensor.mlp_fwd(xn, p)
+        ref_h = xn @ p.w_in + p.b_in
+        np.testing.assert_array_equal(h, ref_h)
+        np.testing.assert_array_equal(h * cdf, old_gelu(ref_h))
+        np.testing.assert_array_equal(z, old_gelu(ref_h) @ p.w_out + p.b_out)
+
+
+class TestBackwardKeepsCache:
+    def _params(self, rng, dim, hidden):
+        return tensor.MlpBlockParams(
+            w_in=rng.normal(size=(dim, hidden)), b_in=rng.normal(size=hidden),
+            w_out=rng.normal(size=(hidden, dim)), b_out=rng.normal(size=dim),
+        )
+
+    @pytest.mark.parametrize("column", [False, True])
+    def test_second_backward_identical_and_cache_unmodified(self, column):
+        rng = np.random.default_rng(8)
+        fwd, bwd = (tensor.column_mlp_fwd, tensor.column_mlp_bwd) if column else (tensor.mlp_fwd, tensor.mlp_bwd)
+        p = self._params(rng, 5, 3)
+        xn = rng.normal(size=(2, 5, 5))
+        z, h, cdf = fwd(xn, p)
+        cache = tensor.MlpBlockCache(xn=xn, h=h, cdf=cdf, ln=tensor.LayerNormCache(
+            xhat=np.zeros(1), inv_std=np.zeros(1)))
+        kept = cache_copy(cache)
+        grad = rng.normal(size=z.shape)
+        first = bwd(grad, cache, p)
+        second = bwd(grad, cache, p)
+        np.testing.assert_array_equal(first[0], second[0])
+        for name in ("w_in", "b_in", "w_out", "b_out"):
+            np.testing.assert_array_equal(getattr(first[1], name), getattr(second[1], name))
+        for before, after in zip(kept, tree_arrays(cache)):
+            np.testing.assert_array_equal(before, after)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_column_mlp_grads_match_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        p = self._params(rng, 4, 3)
+        xn = rng.normal(size=(2, 4, 3))
+        upstream = rng.normal(size=(2, 4, 3))
+
+        def f():
+            return float((tensor.column_mlp_fwd(xn, p)[0] * upstream).sum())
+
+        z, h, cdf = tensor.column_mlp_fwd(xn, p)
+        cache = tensor.MlpBlockCache(xn=xn, h=h, cdf=cdf, ln=None)
+        dxn, grads = tensor.column_mlp_bwd(upstream, cache, p)
+        pairs = [(dxn, xn)] + [(getattr(grads, n), getattr(p, n)) for n in ("w_in", "b_in", "w_out", "b_out")]
+        for analytic, arr in pairs:
+            assert rel_errors(analytic, central_diff(f, arr)).max() < 1e-6
