@@ -5,6 +5,7 @@ The package is organised as a small library plus a command-line front end:
 - ``mlpst.tensor``      dense f64 primitives with hand-paired backward passes
 - ``mlpst.griddata``    grid maps, patch partitioning, temporal slicing
 - ``mlpst.mixer``       the model: spatial/temporal mixers, fusion, output head
+- ``mlpst.runconfig``   hyperparameters and the key=value run configuration
 - ``mlpst.checkpoint``  MLPST1 binary parameter checkpoints
 - ``mlpst.training``    loss, Adam, mini-batch training loop
 - ``mlpst.evaluation``  metrics, naive baselines, evaluation reports

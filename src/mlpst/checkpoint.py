@@ -2,19 +2,22 @@
 
 Layout: the magic string ``MLPST1``, a little-endian u32 byte length, a
 UTF-8 manifest of that length, then the raw float64 little-endian payload.
-The manifest has three sections:
+The manifest has two sections:
 
-- ``[model]``    structural scalars (grid geometry, variant, layer counts,
-  temporal window definition) needed to rebuild the parameter tree,
-- ``[config]``   an opaque echo of the run configuration, for provenance,
+- ``[config]``   the complete run configuration, one line per ``RunConfig``
+  key. The grid geometry and every model and window key are read off the
+  saved parameters, so the section describes the parameter tree; the other
+  keys echo the caller's configuration.
 - ``[tensors]``  one ``path<TAB>shape<TAB>offset`` row per parameter path;
-  shared parameters repeat their path but point at one payload offset, and
-  the loader re-shares arrays by offset, so a round trip is bit-exact and
-  preserves the sharing topology.
+  shared parameters repeat their path but point at one payload offset.
 
-Loading checks the manifest against the structure it rebuilds: a missing
-``[model]`` key, a missing tensor row, a layer count that does not fit
-``n_layers`` and a tensor of the wrong shape each raise ``FormatError``.
+Loading parses ``[config]``, builds the zero-filled skeleton that config
+describes (``build_params`` with ``seed=None``) and fills its leaves from the
+payload. Saving and loading check the rows against the skeleton in one way:
+the same paths, the same shapes, and two paths share an offset exactly when
+the skeleton shares their array. So a round trip is bit-exact and keeps the
+sharing topology, a tree that no config describes cannot be saved, and a
+file that does not match its config raises ``FormatError``.
 
 Normalisation statistics ride along as ``stats.lo`` / ``stats.hi`` tensor
 rows; they are not trainable parameters and stay outside ``ModelParams``.
@@ -22,69 +25,122 @@ rows; they are not trainable parameters and stay outside ``ModelParams``.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tree
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .fileio import atomic_open
-from .griddata import NormStats, TemporalConfig, n_patches
-from .mixer import (
-    MixerLayerParams,
-    ModelParams,
-    SpatialMixerParams,
-    TemporalMixerParams,
-)
-from .tensor import LayerNormParams, MlpBlockParams
+from .griddata import NormStats
+from .mixer import ModelParams, build_params
+from .runconfig import RunConfig, TemporalConfig, parse_config_text
 
 MAGIC = b"MLPST1"
-
-_BOOL_KEYS = {"block_mode", "enforce_interval_order"}
-_OPTIONAL_INT_KEYS = {"predict_channel"}
 
 
 @dataclass
 class Checkpoint:
     params: ModelParams
-    temporal: TemporalConfig
-    config_text: str
+    config: RunConfig
     stats: NormStats | None
 
+    @property
+    def temporal(self) -> TemporalConfig:
+        return self.config.temporal_config()
 
-def _model_section(params: ModelParams, temporal: TemporalConfig) -> list[str]:
-    branch_layers = {
-        name: (0 if bp is None else bp.n_layers)
-        for name, bp in (
-            ("trend", params.temporal_trend),
-            ("period", params.temporal_period),
-            ("closeness", params.temporal_closeness),
-        )
-    }
-    ln_eps = params.spatial.layers[0].ln_tokens.eps if params.spatial.layers else 1e-5
-    kv = {
-        "grid_h": params.grid_h,
-        "grid_w": params.grid_w,
-        "grid_d": params.grid_d,
-        "patch": params.spatial.patch,
-        "variant": params.variant,
-        "predict_channel": "" if params.predict_channel is None else params.predict_channel,
-        "spatial_n_layers": params.spatial.n_layers,
-        "trend_n_layers": branch_layers["trend"],
-        "period_n_layers": branch_layers["period"],
-        "closeness_n_layers": branch_layers["closeness"],
-        "ln_eps": repr(ln_eps),
-        "trend": temporal.trend,
-        "period": temporal.period,
-        "closeness": temporal.closeness,
-        "trend_interval": temporal.trend_interval,
-        "period_interval": temporal.period_interval,
-        "closeness_interval": temporal.closeness_interval,
-        "block_mode": str(temporal.block_mode).lower(),
-        "enforce_interval_order": str(temporal.enforce_interval_order).lower(),
-    }
-    return [f"{k}={v}" for k, v in kv.items()]
+    @property
+    def config_text(self) -> str:
+        return self.config.to_text()
+
+
+def _read_structure(params: ModelParams, temporal: TemporalConfig, cfg: RunConfig) -> RunConfig:
+    """``cfg`` with the grid and every model and window key read off ``params`` and ``temporal``.
+
+    A key the tree cannot show keeps ``cfg``'s value: the MLP widths of a
+    model without mixer layers, ``share_layers`` below two layers, and
+    ``share_branches`` without two branches of equal length.
+    """
+    sp = params.spatial
+    branches = [
+        b for b in (params.temporal_trend, params.temporal_period, params.temporal_closeness)
+        if b is not None
+    ]
+    kv = dataclasses.asdict(temporal) | dict(
+        h=params.grid_h, w=params.grid_w, d=params.grid_d, window=None,
+        patch=sp.patch, channels_spatial=sp.fc_w.shape[1],
+        layers=max(s.n_layers for s in [sp, *branches]),
+        variant=params.variant, predict_channel=params.predict_channel,
+    )
+    stacks = [s for s in [sp, *branches] if s.layers]
+    if stacks:  # every token MLP is `expansion` wide
+        kv["expansion"] = stacks[0].layers[0].token_mlp.w_in.shape[1]
+        if kv["layers"] > 1:
+            kv["share_layers"] = len(stacks[0].layers) == 1
+    if branches and branches[0].layers:
+        kv["channels_temporal"] = branches[0].layers[0].channel_mlp.w_in.shape[1]
+    if len({b.seq_len for b in branches}) < len(branches):
+        kv["share_branches"] = len({id(b) for b in branches}) < len(branches)
+    return dataclasses.replace(cfg, **kv)
+
+
+def _skeleton(cfg: RunConfig, with_stats: bool):
+    """The zero-filled params and stats ``cfg`` describes, and their ``(path, array)`` leaves."""
+    if None in (cfg.h, cfg.w, cfg.d):
+        raise ConfigError("grid geometry h, w and d must be set")
+    cfg.validate()
+    params = build_params(cfg.model_config(), cfg.h, cfg.w, cfg.d, seed=None)
+    leaves = list(tree.iter_leaves(params))
+    stats = None
+    if with_stats:
+        stats = NormStats(lo=np.zeros(cfg.d), hi=np.zeros(cfg.d))
+        leaves += [("stats.lo", stats.lo), ("stats.hi", stats.hi)]
+    return params, stats, leaves
+
+
+def _shape_text(shape: tuple) -> str:
+    return "x".join(str(s) for s in shape)
+
+
+def _match(leaves, rows) -> list[tuple[np.ndarray, int]]:
+    """Check ``(path, shape, offset)`` rows against a skeleton's ``(path, array)`` leaves.
+
+    Every leaf needs a row of its shape and every row a leaf; two rows share
+    an offset exactly when their leaves are one array. Returns each distinct
+    array with its offset.
+    """
+    by_path = {path: (shape, offset) for path, shape, offset in rows}
+    if len(by_path) != len(rows):
+        raise FormatError("checkpoint lists a tensor path twice")
+    first_of_array: dict[int, str] = {}
+    first_at_offset: dict[int, str] = {}
+    out = []
+    for path, arr in leaves:
+        if path not in by_path:
+            raise FormatError(f"checkpoint has no tensor {path}")
+        shape, offset = by_path.pop(path)
+        if shape != arr.shape:
+            raise FormatError(
+                f"checkpoint tensor {path} has shape {_shape_text(shape) or 'scalar'}; "
+                f"the model structure needs {_shape_text(arr.shape)}"
+            )
+        shared_with = first_of_array.setdefault(id(arr), path)
+        stored_with = first_at_offset.setdefault(offset, path)
+        if shared_with != stored_with:
+            raise FormatError(
+                f"checkpoint tensor {path} shares storage with {stored_with}; "
+                "the model structure keeps them apart"
+                if stored_with != path else
+                f"checkpoint tensor {path} is stored apart from {shared_with}; "
+                "the model structure shares them"
+            )
+        if shared_with == path:
+            out.append((arr, offset))
+    if by_path:
+        raise FormatError(f"checkpoint has an unknown tensor {next(iter(by_path))}")
+    return out
 
 
 def save_checkpoint(
@@ -94,6 +150,8 @@ def save_checkpoint(
     config_text: str = "",
     stats: NormStats | None = None,
 ) -> None:
+    cfg = _read_structure(params, temporal, parse_config_text(config_text))
+    skeleton, _, expected = _skeleton(cfg, stats is not None)
     entries = list(tree.iter_leaves(params))
     if stats is not None:
         entries.append(("stats.lo", np.asarray(stats.lo, dtype=np.float64)))
@@ -110,16 +168,17 @@ def save_checkpoint(
             offsets[key] = size
             payload.append(arr)
             size += 8 * arr.size
-        shape = "x".join(str(s) for s in arr.shape)
-        rows.append(f"{leaf_path}\t{shape}\t{offsets[key]}")
+        rows.append((leaf_path, arr.shape, offsets[key]))
+    _match(expected, rows)
+    # the leaves match; the layer counts, sequence lengths and eps must too
+    if tree.tree_map(np.shape, params) != tree.tree_map(np.shape, skeleton):
+        raise FormatError(
+            "parameter tree has layer counts, sequence lengths or LayerNorm eps "
+            "that no model config describes"
+        )
 
-    lines = ["[model]"]
-    lines += _model_section(params, temporal)
-    lines.append("[config]")
-    if config_text:
-        lines += config_text.splitlines()
-    lines.append("[tensors]")
-    lines += rows
+    lines = ["[config]", *cfg.to_text().splitlines(), "[tensors]"]
+    lines += [f"{p}\t{_shape_text(shape)}\t{offset}" for p, shape, offset in rows]
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
 
     with atomic_open(path) as fh:
@@ -130,140 +189,30 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).data)
 
 
-def _parse_manifest(manifest: str) -> tuple[dict[str, str], str, list[tuple[str, tuple, int]]]:
-    model_kv: dict[str, str] = {}
-    config_lines: list[str] = []
-    rows: list[tuple[str, tuple, int]] = []
-    section = None
+def _parse_manifest(manifest: str) -> tuple[list[str], list[tuple[str, tuple, int]]]:
+    sections: dict[str, list[str]] = {"[config]": [], "[tensors]": []}
+    lines = None
     for line in manifest.splitlines():
-        if line in ("[model]", "[config]", "[tensors]"):
-            section = line
-            continue
-        if section == "[model]":
-            key, _, value = line.partition("=")
-            model_kv[key] = value
-        elif section == "[config]":
-            config_lines.append(line)
-        elif section == "[tensors]":
-            try:
-                leaf_path, shape_text, offset_text = line.split("\t")
-                shape = tuple(int(s) for s in shape_text.split("x")) if shape_text else ()
-                rows.append((leaf_path, shape, int(offset_text)))
-            except ValueError:
-                raise FormatError(f"bad [tensors] row {line!r}") from None
-    return model_kv, "\n".join(config_lines), rows
-
-
-class _Node(dict):
-    """A subtree of tensor paths; looking up a missing child names its path."""
-
-    def __init__(self, path: str = ""):
-        super().__init__()
-        self.path = path
-
-    def __missing__(self, key: str):
-        raise FormatError(f"checkpoint has no tensor {self.path}{key}")
-
-
-def _nest(rows: dict[str, np.ndarray]) -> _Node:
-    """Turn dotted paths into a nested tree of :class:`_Node`."""
-    root = _Node()
-    for leaf_path, arr in rows.items():
-        node = root
-        parts = leaf_path.split(".")
-        for part in parts[:-1]:
-            if part not in node:
-                node[part] = _Node(f"{node.path}{part}.")
-            node = node[part]
-        node[parts[-1]] = arr
-    return root
-
-
-def _build_mlp(node: dict) -> MlpBlockParams:
-    return MlpBlockParams(
-        w_in=node["w_in"], b_in=node["b_in"], w_out=node["w_out"], b_out=node["b_out"]
-    )
-
-
-def _build_ln(node: dict, eps: float) -> LayerNormParams:
-    return LayerNormParams(gamma=node["gamma"], beta=node["beta"], eps=eps)
-
-
-def _build_layers(node: dict | None, eps: float) -> list[MixerLayerParams]:
-    if not node:
-        return []
-    if not all(i.isdigit() for i in node):
-        raise FormatError(f"checkpoint layer paths {node.path}* must be numbered")
-    layers = []
-    for i in sorted(node, key=int):
-        ln = node[i]
-        layers.append(
-            MixerLayerParams(
-                token_mlp=_build_mlp(ln["token_mlp"]),
-                channel_mlp=_build_mlp(ln["channel_mlp"]),
-                ln_tokens=_build_ln(ln["ln_tokens"], eps),
-                ln_channels=_build_ln(ln["ln_channels"], eps),
-            )
-        )
-    return layers
-
-
-def _expect(path: str, arr: np.ndarray, *dims: int | None) -> None:
-    """Raise ``FormatError`` unless ``arr`` has shape ``dims`` (None: any length)."""
-    if len(dims) != arr.ndim or any(n is not None and n != s for n, s in zip(dims, arr.shape)):
-        want = "x".join("*" if n is None else str(n) for n in dims)
-        got = "x".join(str(s) for s in arr.shape) or "scalar"
-        raise FormatError(
-            f"checkpoint tensor {path} has shape {got}; the model structure needs {want}"
-        )
-
-
-def _check_structure(params: ModelParams) -> None:
-    """Check every leaf's shape and every stack's layer count.
-
-    Widths the manifest does not record (``C_S`` and the MLPs' hidden
-    widths) are read off the first leaf that holds them and checked on
-    the others.
-    """
-    sp = params.spatial
-    h, w, patch = params.grid_h, params.grid_w, sp.patch
-    if patch < 1 or h % patch or w % patch:
-        raise FormatError(f"checkpoint patch={patch} does not divide the {h}x{w} grid")
-    _expect("spatial.fc_w", sp.fc_w, patch * patch * params.grid_d, None)
-    c_s = sp.fc_w.shape[1]
-    _expect("spatial.fc_b", sp.fc_b, c_s)
-    n_p = n_patches(h, w, patch)
-    d_t = n_p * c_s
-    stacks = [("spatial", sp, n_p, c_s)] + [
-        (f"temporal_{name}", bp, bp.seq_len, d_t)
-        for name in ("trend", "period", "closeness")
-        if (bp := getattr(params, f"temporal_{name}")) is not None
-    ]
-    for name, stack, n_tokens, n_channels in stacks:
-        count = len(stack.layers)
-        if count != stack.n_layers and not (count == 1 and stack.n_layers > 1):
-            raise FormatError(
-                f"checkpoint {name}.layers holds {count} layers for n_layers={stack.n_layers}"
-            )
-        for i, layer in enumerate(stack.layers):
-            prefix = f"{name}.layers.{i}"
-            for mlp_name, dim in (("token_mlp", n_tokens), ("channel_mlp", n_channels)):
-                mlp = getattr(layer, mlp_name)
-                path = f"{prefix}.{mlp_name}"
-                _expect(f"{path}.w_in", mlp.w_in, dim, None)
-                hidden = mlp.w_in.shape[1]
-                _expect(f"{path}.b_in", mlp.b_in, hidden)
-                _expect(f"{path}.w_out", mlp.w_out, hidden, dim)
-                _expect(f"{path}.b_out", mlp.b_out, dim)
-            for ln_name in ("ln_tokens", "ln_channels"):
-                ln = getattr(layer, ln_name)
-                _expect(f"{prefix}.{ln_name}.gamma", ln.gamma, n_channels)
-                _expect(f"{prefix}.{ln_name}.beta", ln.beta, n_channels)
-    for name in ("w_trend", "w_period", "w_closeness"):
-        _expect(name, getattr(params, name), d_t)
-    out_dim = h * w * params.out_channels
-    _expect("w_out", params.w_out, d_t, out_dim)
-    _expect("b_out", params.b_out, out_dim)
+        if line.startswith("["):
+            if line not in sections:
+                raise FormatError(
+                    f"checkpoint manifest has an unknown section {line} "
+                    "(files with a [model] section predate this format)"
+                )
+            lines = sections[line]
+        elif lines is None:
+            raise FormatError(f"checkpoint manifest line {line!r} is outside a section")
+        else:
+            lines.append(line)
+    rows: list[tuple[str, tuple, int]] = []
+    for line in sections["[tensors]"]:
+        try:
+            leaf_path, shape_text, offset_text = line.split("\t")
+            shape = tuple(int(s) for s in shape_text.split("x")) if shape_text else ()
+            rows.append((leaf_path, shape, int(offset_text)))
+        except ValueError:
+            raise FormatError(f"bad [tensors] row {line!r}") from None
+    return sections["[config]"], rows
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -284,7 +233,7 @@ def load_checkpoint(path) -> Checkpoint:
     manifest = blob[header_end:manifest_end].decode("utf-8")
     payload = blob[manifest_end:]
 
-    model_kv, config_text, rows = _parse_manifest(manifest)
+    config_lines, rows = _parse_manifest(manifest)
 
     needed = 0
     for _, shape, offset in rows:
@@ -297,85 +246,16 @@ def load_checkpoint(path) -> Checkpoint:
             offset=manifest_end + len(payload),
         )
 
-    by_offset: dict[tuple[int, tuple], np.ndarray] = {}
-    arrays: dict[str, np.ndarray] = {}
-    for leaf_path, shape, offset in rows:
-        key = (offset, shape)
-        if key not in by_offset:
-            count = int(np.prod(shape)) if shape else 1
-            flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-            by_offset[key] = flat.astype(np.float64).reshape(shape)
-        arrays[leaf_path] = by_offset[key]
-
-    stats = None
-    if "stats.lo" in arrays:
-        stats = NormStats(lo=arrays.pop("stats.lo"), hi=arrays.pop("stats.hi"))
-
-    def value(key: str) -> str:
-        if key not in model_kv:
-            raise FormatError(f"checkpoint manifest has no [model] key {key!r}")
-        return model_kv[key]
-
-    def integer(key: str) -> int:
-        text = value(key)
-        try:
-            return int(text)
-        except ValueError:
-            raise FormatError(f"checkpoint [model] key {key!r} is not an integer: {text!r}") from None
-
-    eps = float(model_kv.get("ln_eps", "1e-5"))
-    nested = _nest(arrays)
-
-    spatial_node = nested["spatial"]
-    spatial = SpatialMixerParams(
-        patch=integer("patch"),
-        fc_w=spatial_node["fc_w"],
-        fc_b=spatial_node["fc_b"],
-        layers=_build_layers(spatial_node.get("layers"), eps),
-        n_layers=integer("spatial_n_layers"),
-    )
-
-    variant = value("variant")
-
-    def build_branch(name: str, seq_len: int) -> TemporalMixerParams | None:
-        if seq_len == 0 or variant == "mlp_sa":
-            return None
-        node = nested.get(f"temporal_{name}", {})
-        return TemporalMixerParams(
-            seq_len=seq_len,
-            layers=_build_layers(node.get("layers"), eps),
-            n_layers=integer(f"{name}_n_layers"),
-        )
-
-    temporal_cfg = TemporalConfig(
-        trend=integer("trend"),
-        period=integer("period"),
-        closeness=integer("closeness"),
-        trend_interval=integer("trend_interval"),
-        period_interval=integer("period_interval"),
-        closeness_interval=integer("closeness_interval"),
-        block_mode=value("block_mode") == "true",
-        enforce_interval_order=value("enforce_interval_order") == "true",
-    )
-
-    predict_channel = (
-        None if value("predict_channel") == "" else integer("predict_channel")
-    )
-    params = ModelParams(
-        grid_h=integer("grid_h"),
-        grid_w=integer("grid_w"),
-        grid_d=integer("grid_d"),
-        spatial=spatial,
-        temporal_trend=build_branch("trend", temporal_cfg.trend),
-        temporal_period=build_branch("period", temporal_cfg.period),
-        temporal_closeness=build_branch("closeness", temporal_cfg.closeness),
-        w_trend=nested["w_trend"],
-        w_period=nested["w_period"],
-        w_closeness=nested["w_closeness"],
-        w_out=nested["w_out"],
-        b_out=nested["b_out"],
-        variant=variant,
-        predict_channel=predict_channel,
-    )
-    _check_structure(params)
-    return Checkpoint(params=params, temporal=temporal_cfg, config_text=config_text, stats=stats)
+    given = {line.partition("=")[0] for line in config_lines}
+    for f in dataclasses.fields(RunConfig):
+        if f.name not in given:
+            raise FormatError(f"checkpoint [config] has no key {f.name!r}")
+    try:
+        cfg = parse_config_text("\n".join(config_lines))
+        params, stats, expected = _skeleton(cfg, any(row[0] == "stats.lo" for row in rows))
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint [config]: {exc}") from None
+    for arr, offset in _match(expected, rows):
+        flat = np.frombuffer(payload, dtype="<f8", count=arr.size, offset=offset)
+        arr[...] = flat.reshape(arr.shape)
+    return Checkpoint(params=params, config=cfg, stats=stats)

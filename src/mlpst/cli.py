@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 2 data error, 3 configuration
 error, 1 internal error. The env var MLPST_THREADS caps internal (BLAS)
-parallelism; 0 or unset leaves the platform default.
+parallelism; 0 or unset leaves the platform default. When set, it overrides
+OMP_NUM_THREADS and the other BLAS thread variables, and it takes effect only
+if this module is imported before numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ if _threads not in ("", "0"):
         "NUMEXPR_NUM_THREADS",
         "VECLIB_MAXIMUM_THREADS",
     ):
-        os.environ.setdefault(_var, _threads)
+        os.environ[_var] = _threads
 
 import argparse
 import json
@@ -31,7 +33,7 @@ import numpy as np
 from . import evaluation, ingestion, mixer, training
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError
-from .runconfig import RunConfig, parse_config_file
+from .runconfig import RunConfig, TemporalConfig, parse_config_file
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +50,7 @@ def _load_gridspec(path) -> ingestion.GridSpec:
     fields = {
         "lat_min": float, "lat_max": float, "lon_min": float, "lon_max": float,
         "h": int, "w": int, "interval_seconds": int,
-        "t_start": ingestion._parse_time, "t_end": ingestion._parse_time,
+        "t_start": ingestion.parse_time, "t_end": ingestion.parse_time,
     }
     kwargs = {}
     for name, convert in fields.items():
@@ -122,17 +124,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _split_anchors(cfg: RunConfig, n_steps: int, which: str, min_history=None):
-    parts = training.split_anchors(
-        n_steps, cfg.temporal_config(), cfg.split,
-        min_history if min_history is not None else cfg.min_history,
-    )
+def _split_anchors(cfg: RunConfig, n_steps: int, which: str):
+    parts = training.split_anchors(n_steps, cfg.temporal_config(), cfg.split, cfg.min_history)
     return getattr(parts, which)
 
 
 def cmd_evaluate(args) -> int:
-    from .griddata import TemporalConfig
-
     dataset = ingestion.read_dataset(args.data)
     if args.baseline:
         if args.config:
@@ -156,13 +153,10 @@ def cmd_evaluate(args) -> int:
         ckpt = load_checkpoint(args.checkpoint)
         if ckpt.stats is None:
             raise ConfigError("checkpoint carries no normalisation stats")
-        from .runconfig import parse_config_text
-
-        cfg = parse_config_text(ckpt.config_text) if ckpt.config_text.strip() else RunConfig()
-        anchors = _split_anchors(cfg, dataset.n_steps, args.split)
+        anchors = _split_anchors(ckpt.config, dataset.n_steps, args.split)
         report = evaluation.evaluate_model(
             ckpt.params, ckpt.temporal, dataset.values, anchors, ckpt.stats,
-            batch_size=cfg.batch_size, dataset_name=_dataset_name(args.data),
+            batch_size=ckpt.config.batch_size, dataset_name=_dataset_name(args.data),
         )
     print(evaluation.CSV_HEADER)
     print(report.csv_row())

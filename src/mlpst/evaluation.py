@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, MlpstError
-from .griddata import NormStats, TemporalConfig, apply_norm, invert_norm
+from .griddata import NormStats, apply_norm, invert_norm
 from .mixer import ModelParams, param_total
+from .runconfig import TemporalConfig
 from .training import predict_batches, select_target, stats_for_output
 
 Array = np.ndarray

@@ -51,7 +51,7 @@ class GradCheckResult:
     max_rel: float
     frac_within: float  # fraction of coordinates with rel error <= tol
 
-    def ok(self, tol: float = 1e-4, worst: float = 1e-3, quantile: float = 0.99) -> bool:
+    def ok(self, worst: float = 1e-3, quantile: float = 0.99) -> bool:
         return self.frac_within >= quantile and self.max_rel <= worst
 
 

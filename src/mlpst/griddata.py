@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .runconfig import TemporalConfig
 
 Array = np.ndarray
 
@@ -64,64 +65,6 @@ def unpatchify(tokens: Array, h: int, w: int, patch: int, d: int) -> Array:
 
 # ---------------------------------------------------------------------------
 # temporal dependency slicing
-
-
-@dataclass(frozen=True)
-class TemporalConfig:
-    """Trend/period/closeness lengths and their sampling intervals.
-
-    ``trend``, ``period`` and ``closeness`` are sequence lengths summing to
-    the input window T. The intervals give the stride (in unit time steps)
-    at which each sequence samples the history; ``block_mode`` instead
-    carves the last ``T`` steps into three contiguous blocks in
-    trend/period/closeness order, ignoring the intervals.
-    """
-
-    trend: int = 2
-    period: int = 2
-    closeness: int = 8
-    trend_interval: int = 168
-    period_interval: int = 24
-    closeness_interval: int = 1
-    block_mode: bool = False
-    enforce_interval_order: bool = True
-
-    @property
-    def window(self) -> int:
-        return self.trend + self.period + self.closeness
-
-    def validate(self) -> None:
-        for name in ("trend", "period", "closeness"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} length must be >= 0")
-        if self.trend == 1 or self.period == 1:
-            raise ConfigError(
-                "trend and period lengths of 1 are not allowed (nothing to mix); "
-                "use 0 or >= 2"
-            )
-        if self.window < 1:
-            raise ConfigError("input window t+p+c must be at least 1")
-        for name in ("trend_interval", "period_interval", "closeness_interval"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.block_mode or not self.enforce_interval_order:
-            return
-        # only intervals of active branches are constrained
-        active = [
-            (length, interval)
-            for length, interval in (
-                (self.trend, self.trend_interval),
-                (self.period, self.period_interval),
-                (self.closeness, self.closeness_interval),
-            )
-            if length > 0
-        ]
-        for (_, hi), (_, lo) in zip(active, active[1:]):
-            if hi <= lo:
-                raise ConfigError(
-                    "intervals must satisfy trend > period > closeness among "
-                    "active branches (set enforce_interval_order=false to override)"
-                )
 
 
 def branch_offsets(cfg: TemporalConfig) -> tuple[Array, Array, Array]:

@@ -116,7 +116,8 @@ class IngestSummary:
 # trip CSV parsing
 
 
-def _parse_time(text: str) -> float:
+def parse_time(text: str) -> float:
+    """Seconds since the epoch from a number or an ISO-8601 time (UTC if no offset)."""
     text = text.strip()
     try:
         return float(text)
@@ -131,8 +132,8 @@ def _parse_time(text: str) -> float:
 def parse_trip_row(row: dict) -> TripRecord:
     """Build a record from a CSV row; raises ValueError on any bad field."""
     record = TripRecord(
-        pickup_time=_parse_time(row["pickup_datetime"]),
-        dropoff_time=_parse_time(row["dropoff_datetime"]),
+        pickup_time=parse_time(row["pickup_datetime"]),
+        dropoff_time=parse_time(row["dropoff_datetime"]),
         pickup_lat=float(row["pickup_lat"]),
         pickup_lon=float(row["pickup_lon"]),
         dropoff_lat=float(row["dropoff_lat"]),

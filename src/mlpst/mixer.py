@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .griddata import TemporalConfig, n_patches, patchify, slice_dependencies
+from .griddata import n_patches, patchify, slice_dependencies
+from .runconfig import ModelConfig, TemporalConfig
 from .tensor import (
     Array,
     LayerNormParams,
@@ -44,9 +45,6 @@ from .tensor import (
     init_params,
 )
 from . import tree
-
-VARIANTS = ("full", "mlp_at", "mlp_sa")
-
 
 # ---------------------------------------------------------------------------
 # parameter containers
@@ -113,32 +111,6 @@ class ModelParams:
         return 1 if self.predict_channel is not None else self.grid_d
 
 
-@dataclass
-class ModelConfig:
-    """Hyperparameters defining a model for a given grid geometry."""
-
-    temporal: TemporalConfig = field(default_factory=TemporalConfig)
-    patch: int = 2
-    channels_spatial: int = 20   # C_S: token width after the per-patch FC
-    channels_temporal: int = 20  # C_T: hidden units of temporal channel-mixing MLPs
-    expansion: int = 8           # hidden units of the remaining mixing MLPs
-    n_layers: int = 8
-    variant: str = "full"
-    share_layers: bool = True
-    share_branches: bool = False
-    predict_channel: int | None = None
-
-    def validate(self) -> None:
-        self.temporal.validate()
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("patch", "channels_spatial", "channels_temporal", "expansion"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.n_layers < 0:
-            raise ConfigError("n_layers must be >= 0")
-
-
 def mixer_layer_init(
     n_tokens: int, n_channels: int, token_hidden: int, channel_hidden: int, rng
 ) -> MixerLayerParams:
@@ -179,9 +151,11 @@ def build_params(cfg: ModelConfig, h: int, w: int, d: int, seed) -> ModelParams:
 
     Draw order is fixed (spatial FC, spatial stack, trend, period,
     closeness, output head) so identical seeds give identical parameters.
+    ``seed=None`` draws nothing: every drawn weight is zero, which gives the
+    skeleton a checkpoint fills.
     """
     cfg.validate()
-    rng = np.random.default_rng(seed)
+    rng = None if seed is None else np.random.default_rng(seed)
     n_p = n_patches(h, w, cfg.patch)
     patch_dim = cfg.patch * cfg.patch * d
     c_s = cfg.channels_spatial

@@ -1,117 +1,201 @@
-"""Operator-facing run configuration: a flat key=value file.
+"""Hyperparameters, declared once, and the flat key=value run configuration.
 
-Lines are ``key = value``; ``#`` starts a comment; blank lines are ignored.
-Unknown keys and unconvertible values are configuration errors. The same
-text format is echoed into checkpoints for provenance, so
-``parse_config_text(cfg.to_text())`` round-trips.
+Every hyperparameter is a field of one of four dataclasses, which holds its
+default and its validation: :class:`TemporalConfig` (the input window),
+:class:`ModelConfig` (the network), :class:`LossConfig` and
+:class:`TrainConfig`. :class:`RunConfig` is derived from them: one flat field
+per sub-config field, named as in the sub-config except ``layers``
+(``ModelConfig.n_layers``) and ``combine_loss`` (``LossConfig.combine``), plus
+the grid geometry ``h``/``w``/``d`` and the optional ``window`` check.
+
+Text format: lines are ``key = value``; ``#`` starts a comment; blank lines
+are ignored. Unknown keys and unconvertible values are configuration errors.
+Checkpoints store the same text, so ``parse_config_text(cfg.to_text())``
+round-trips.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .griddata import TemporalConfig
-from .mixer import ModelConfig, VARIANTS
-from .training import LossConfig, TrainConfig
+
+VARIANTS = ("full", "mlp_at", "mlp_sa")
 
 
-@dataclass
-class RunConfig:
-    # grid geometry; None means "take from the dataset"
-    h: int | None = None
-    w: int | None = None
-    d: int | None = None
-    # model
-    patch: int = 2
-    channels_spatial: int = 20
-    channels_temporal: int = 20
-    expansion: int = 8
-    layers: int = 8
-    variant: str = "full"
-    share_layers: bool = True
-    share_branches: bool = False
-    predict_channel: int | None = None
-    # temporal window
+@dataclass(frozen=True)
+class TemporalConfig:
+    """Trend/period/closeness lengths and their sampling intervals.
+
+    ``trend``, ``period`` and ``closeness`` are sequence lengths summing to
+    the input window T. The intervals give the stride (in unit time steps)
+    at which each sequence samples the history; ``block_mode`` instead
+    carves the last ``T`` steps into three contiguous blocks in
+    trend/period/closeness order, ignoring the intervals.
+    """
+
     trend: int = 2
     period: int = 2
     closeness: int = 8
     trend_interval: int = 168
     period_interval: int = 24
     closeness_interval: int = 1
-    window: int | None = None
     block_mode: bool = False
     enforce_interval_order: bool = True
-    # loss
-    q: int = 2
-    combine_loss: bool = False
-    # training
-    lr: float = 1e-3
+
+    @property
+    def window(self) -> int:
+        return self.trend + self.period + self.closeness
+
+    def validate(self) -> None:
+        for name in ("trend", "period", "closeness"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} length must be >= 0")
+        if self.trend == 1 or self.period == 1:
+            raise ConfigError(
+                "trend and period lengths of 1 are not allowed (nothing to mix); "
+                "use 0 or >= 2"
+            )
+        if self.window < 1:
+            raise ConfigError("input window t+p+c must be at least 1")
+        for name in ("trend_interval", "period_interval", "closeness_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.block_mode or not self.enforce_interval_order:
+            return
+        # only intervals of active branches are constrained
+        active = [
+            (length, interval)
+            for length, interval in (
+                (self.trend, self.trend_interval),
+                (self.period, self.period_interval),
+                (self.closeness, self.closeness_interval),
+            )
+            if length > 0
+        ]
+        for (_, hi), (_, lo) in zip(active, active[1:]):
+            if hi <= lo:
+                raise ConfigError(
+                    "intervals must satisfy trend > period > closeness among "
+                    "active branches (set enforce_interval_order=false to override)"
+                )
+
+
+@dataclass
+class ModelConfig:
+    """Hyperparameters defining a model for a given grid geometry."""
+
+    temporal: TemporalConfig = field(default_factory=TemporalConfig)
+    patch: int = 2
+    channels_spatial: int = 20   # C_S: token width after the per-patch FC
+    channels_temporal: int = 20  # C_T: hidden units of temporal channel-mixing MLPs
+    expansion: int = 8           # hidden units of the remaining mixing MLPs
+    n_layers: int = 8
+    variant: str = "full"
+    share_layers: bool = True
+    share_branches: bool = False
+    predict_channel: int | None = None
+
+    def validate(self) -> None:
+        self.temporal.validate()
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for name in ("patch", "channels_spatial", "channels_temporal", "expansion"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.n_layers < 0:
+            raise ConfigError("n_layers must be >= 0")
+
+
+@dataclass
+class LossConfig:
+    q: int = 2           # 1 = absolute-error loss, 2 = root-of-squares loss
+    combine: bool = False  # sum the q=1 and q=2 losses
+
+    def validate(self) -> None:
+        if self.q not in (1, 2):
+            raise ConfigError(f"loss norm order q must be 1 or 2, got {self.q}")
+
+
+@dataclass
+class TrainConfig:
     batch_size: int = 64
     max_epochs: int = 100
     patience: int = 10
     split: tuple[float, float, float] = (0.7, 0.1, 0.2)
     seed: int = 0
+    lr: float = 1e-3
     min_history: int | None = None
+
+    def validate(self) -> None:
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ConfigError("max_epochs must be >= 1")
+        if self.patience < 1:
+            raise ConfigError("patience must be >= 1")
+        if self.lr <= 0:
+            raise ConfigError("lr must be positive")
+
+
+# sub-config field -> flat key, where the two differ
+_FLAT_NAMES = {"n_layers": "layers", "combine": "combine_loss"}
+# flat key -> (sub-config, field); ModelConfig.temporal contributes the TemporalConfig keys
+_SUB_KEYS = {
+    _FLAT_NAMES.get(f.name, f.name): (cls, f)
+    for cls in (ModelConfig, TemporalConfig, LossConfig, TrainConfig)
+    for f in dataclasses.fields(cls)
+    if f.name != "temporal"
+}
+
+
+def _flatten(cls):
+    """Add one field per sub-config field to ``cls``, then make it a dataclass."""
+    for key, (_, f) in _SUB_KEYS.items():
+        cls.__annotations__[key] = f.type
+        setattr(cls, key, f.default)
+    return dataclass(cls)
+
+
+@_flatten
+class RunConfig:
+    """The flat run configuration: the fields below, then every sub-config field."""
+
+    # grid geometry; None means "take from the dataset"
+    h: int | None = None
+    w: int | None = None
+    d: int | None = None
+    # if set, must equal trend + period + closeness
+    window: int | None = None
 
     # -- conversions ---------------------------------------------------
 
+    def _sub(self, cls, **extra):
+        kwargs = {f.name: getattr(self, key) for key, (c, f) in _SUB_KEYS.items() if c is cls}
+        return cls(**kwargs, **extra)
+
     def temporal_config(self) -> TemporalConfig:
-        return TemporalConfig(
-            trend=self.trend,
-            period=self.period,
-            closeness=self.closeness,
-            trend_interval=self.trend_interval,
-            period_interval=self.period_interval,
-            closeness_interval=self.closeness_interval,
-            block_mode=self.block_mode,
-            enforce_interval_order=self.enforce_interval_order,
-        )
+        return self._sub(TemporalConfig)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            temporal=self.temporal_config(),
-            patch=self.patch,
-            channels_spatial=self.channels_spatial,
-            channels_temporal=self.channels_temporal,
-            expansion=self.expansion,
-            n_layers=self.layers,
-            variant=self.variant,
-            share_layers=self.share_layers,
-            share_branches=self.share_branches,
-            predict_channel=self.predict_channel,
-        )
+        return self._sub(ModelConfig, temporal=self.temporal_config())
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            split=self.split,
-            seed=self.seed,
-            lr=self.lr,
-            min_history=self.min_history,
-        )
+        return self._sub(TrainConfig)
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(q=self.q, combine=self.combine_loss)
+        return self._sub(LossConfig)
 
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
-        if self.q not in (1, 2):
-            raise ConfigError(f"q must be 1 or 2, got {self.q}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.window is not None and self.window != self.trend + self.period + self.closeness:
-            raise ConfigError(
-                f"window={self.window} violates trend+period+closeness=="
-                f"{self.trend + self.period + self.closeness}"
-            )
-        self.temporal_config().validate()
+        window = self.temporal_config().window
+        if self.window is not None and self.window != window:
+            raise ConfigError(f"window={self.window} violates trend+period+closeness=={window}")
         self.model_config().validate()
         self.train_config().validate()
+        self.loss_config().validate()
         for name in ("h", "w", "d"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -158,31 +242,32 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "1", "yes", "on"):
+        return True
+    if lowered in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _ratios(text: str) -> tuple[float, float, float]:
+    parts = tuple(float(p) for p in text.split(","))
+    if len(parts) != 3:
+        raise ValueError("split needs three comma-separated ratios")
+    return parts
+
+
+# field annotation -> parser of the stripped value text
+_PARSERS = {
+    "int": int,
+    "int | None": lambda text: None if text == "" else int(text),
+    "float": float,
+    "str": str,
+    "bool": _boolean,
+    "tuple[float, float, float]": _ratios,
+}
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-
-
-def _convert(name: str, text: str):
-    text = text.strip()
-    if name in ("h", "w", "d", "predict_channel", "window", "min_history"):
-        return None if text == "" else int(text)
-    if name in ("variant",):
-        return text
-    if name in ("share_layers", "share_branches", "block_mode",
-                "enforce_interval_order", "combine_loss"):
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    if name in ("lr",):
-        return float(text)
-    if name == "split":
-        parts = tuple(float(p) for p in text.split(","))
-        if len(parts) != 3:
-            raise ValueError("split needs three comma-separated ratios")
-        return parts
-    return int(text)
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -198,7 +283,7 @@ def parse_config_text(text: str) -> RunConfig:
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
         try:
-            setattr(cfg, key, _convert(key, value))
+            setattr(cfg, key, _PARSERS[_FIELDS[key].type](value.strip()))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r} (line {lineno}): {exc}") from exc
     return cfg

@@ -330,18 +330,16 @@ def mlp_block_bwd(
 # initialisation
 
 
-def init_params(shape, rng, scheme: str = "uniform-fanin") -> Array:
-    """Seeded parameter initialisation.
+def init_params(shape, rng) -> Array:
+    """Seeded parameter initialisation: U(-1/sqrt(fan_in), +1/sqrt(fan_in)).
 
-    ``rng`` may be an integer seed or a ``numpy.random.Generator``.
-    ``uniform-fanin`` draws from U(-1/sqrt(fan_in), +1/sqrt(fan_in)) with
-    fan_in the first dimension of ``shape``; ``zeros`` returns zeros.
+    ``fan_in`` is the first dimension of ``shape``. ``rng`` may be an integer
+    seed or a ``numpy.random.Generator``; ``None`` returns zeros and draws
+    nothing.
     """
-    if scheme == "zeros":
+    if rng is None:
         return np.zeros(shape)
-    if scheme == "uniform-fanin":
-        gen = np.random.default_rng(rng)
-        shape = tuple(np.atleast_1d(shape))
-        bound = 1.0 / math.sqrt(shape[0])
-        return gen.uniform(-bound, bound, size=shape)
-    raise ConfigError(f"unknown init scheme {scheme!r}")
+    gen = np.random.default_rng(rng)
+    shape = tuple(np.atleast_1d(shape))
+    bound = 1.0 / math.sqrt(shape[0])
+    return gen.uniform(-bound, bound, size=shape)

@@ -18,7 +18,6 @@ from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError
 from .griddata import (
     NormStats,
-    TemporalConfig,
     apply_norm,
     branch_offsets,
     check_finite,
@@ -26,23 +25,14 @@ from .griddata import (
     invert_norm,
     required_history,
 )
-from .mixer import ModelConfig, ModelParams, batch_backward, batch_forward, build_params
+from .mixer import ModelParams, batch_backward, batch_forward, build_params
+from .runconfig import LossConfig, ModelConfig, TemporalConfig, TrainConfig
 
 Array = np.ndarray
 
 
 # ---------------------------------------------------------------------------
 # loss
-
-
-@dataclass
-class LossConfig:
-    q: int = 2           # 1 = absolute-error loss, 2 = root-of-squares loss
-    combine: bool = False  # sum the q=1 and q=2 losses
-
-    def validate(self) -> None:
-        if self.q not in (1, 2):
-            raise ConfigError(f"loss norm order q must be 1 or 2, got {self.q}")
 
 
 def loss(pred: Array, target: Array, cfg: LossConfig) -> tuple[float, Array]:
@@ -196,27 +186,6 @@ def predict_batches(
 
 # ---------------------------------------------------------------------------
 # training loop
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 64
-    max_epochs: int = 100
-    patience: int = 10
-    split: tuple[float, float, float] = (0.7, 0.1, 0.2)
-    seed: int = 0
-    lr: float = 1e-3
-    min_history: int | None = None
-
-    def validate(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Tests for the MLPST1 checkpoint format."""
 
+import itertools
 import struct
 
 import numpy as np
 import pytest
 
-from mlpst import checkpoint, mixer, tree
+from mlpst import checkpoint, mixer, tensor, tree
 from mlpst.errors import FormatError
 from mlpst.griddata import NormStats, TemporalConfig
 
@@ -28,6 +29,12 @@ def assert_params_equal(a, b):
     assert [p for p, _ in leaves_a] == [p for p, _ in leaves_b]
     for (_, x), (_, y) in zip(leaves_a, leaves_b):
         np.testing.assert_array_equal(x, y)
+
+
+def first_holders(params):
+    """For each leaf path, the first path that holds the same array."""
+    first = {}
+    return [first.setdefault(id(arr), path) for path, arr in tree.iter_leaves(params)]
 
 
 class TestRoundTrip:
@@ -81,6 +88,31 @@ class TestRoundTrip:
         assert loaded.params.spatial.patch == 2
         assert loaded.params.spatial.n_layers == 2
 
+    def test_every_structure_is_read_off_its_params(self, tmp_path):
+        # the saved [config] rebuilds the same paths, shapes, sharing and
+        # layer counts for every combination of the structural keys
+        windows = [
+            TemporalConfig(trend=2, period=2, closeness=4, trend_interval=6, period_interval=3),
+            TemporalConfig(trend=0, period=2, closeness=2, period_interval=4),
+            TemporalConfig(trend=2, period=2, closeness=2, block_mode=True),
+        ]
+        path = tmp_path / "m.ckpt"
+        for variant, share_layers, share_branches, n_layers, predict_channel, temporal in (
+            itertools.product(["full", "mlp_at", "mlp_sa"], [True, False], [True, False],
+                              range(4), [None, 1], windows)
+        ):
+            cfg = mixer.ModelConfig(
+                temporal=temporal, patch=2, channels_spatial=3, channels_temporal=4,
+                expansion=5, n_layers=n_layers, variant=variant, share_layers=share_layers,
+                share_branches=share_branches, predict_channel=predict_channel,
+            )
+            params = mixer.build_params(cfg, 4, 4, 2, seed=0)
+            checkpoint.save_checkpoint(path, params, temporal)
+            loaded = checkpoint.load_checkpoint(path).params
+            assert_params_equal(params, loaded)
+            assert tree.tree_map(np.shape, loaded) == tree.tree_map(np.shape, params)
+            assert first_holders(loaded) == first_holders(params)
+
 
 class TestFormatErrors:
     def test_bad_magic(self, tmp_path):
@@ -125,6 +157,10 @@ def drop_key(key):
     return lambda lines: [ln for ln in lines if not ln.startswith(f"{key}=")]
 
 
+def set_key(key, value):
+    return lambda lines: [(f"{key}={value}" if ln.startswith(f"{key}=") else ln) for ln in lines]
+
+
 def reshape_leaf(leaf, shape):
     def edit(lines):
         out = []
@@ -141,17 +177,28 @@ def drop_leaf(leaf):
     return lambda lines: [ln for ln in lines if ln.split("\t")[0] != leaf]
 
 
+def share_offsets(src, dst):
+    """Point each row under the ``dst`` prefix at the offset of its twin under ``src``."""
+    def edit(lines):
+        rows = [ln.split("\t") for ln in lines]
+        offsets = {r[0]: r[2] for r in rows if r[0].startswith(src)}
+        for r in rows:
+            if r[0].startswith(dst):
+                r[2] = offsets[src + r[0][len(dst):]]
+        return ["\t".join(r) for r in rows]
+    return edit
+
+
 # build() has a 4x6x2 grid, patch 2 (6 patches), C_S = 4, d_T = 24, hidden 5
 MALFORMED_MANIFESTS = [
-    ("missing patch", drop_key("patch"), "key 'patch'"),
-    ("missing grid_h", drop_key("grid_h"), "key 'grid_h'"),
-    ("missing variant", drop_key("variant"), "key 'variant'"),
-    ("missing spatial_n_layers", drop_key("spatial_n_layers"), "key 'spatial_n_layers'"),
-    ("missing closeness_n_layers", drop_key("closeness_n_layers"), "key 'closeness_n_layers'"),
-    ("missing closeness", drop_key("closeness"), "key 'closeness'"),
-    ("missing predict_channel", drop_key("predict_channel"), "key 'predict_channel'"),
-    ("non-integer grid_w", lambda ls: [("grid_w=six" if ln.startswith("grid_w=") else ln) for ln in ls],
-     "key 'grid_w' is not an integer"),
+    ("missing patch", drop_key("patch"), "[config] has no key 'patch'"),
+    ("missing grid_h", drop_key("h"), "[config] has no key 'h'"),
+    ("missing variant", drop_key("variant"), "[config] has no key 'variant'"),
+    ("missing layers", drop_key("layers"), "[config] has no key 'layers'"),
+    ("missing closeness", drop_key("closeness"), "[config] has no key 'closeness'"),
+    ("missing predict_channel", drop_key("predict_channel"), "[config] has no key 'predict_channel'"),
+    ("missing trend_interval", drop_key("trend_interval"), "[config] has no key 'trend_interval'"),
+    ("non-integer grid_w", set_key("w", "six"), "bad value for 'w'"),
     ("transposed fc_w", reshape_leaf("spatial.fc_w", "4x8"), "spatial.fc_w has shape 4x8"),
     ("ln_tokens sized by tokens", reshape_leaf("spatial.layers.0.ln_tokens.gamma", "6"),
      "spatial.layers.0.ln_tokens.gamma has shape 6"),
@@ -164,12 +211,17 @@ MALFORMED_MANIFESTS = [
     ("missing head bias", drop_leaf("b_out"), "no tensor b_out"),
     ("missing layer leaf", drop_leaf("spatial.layers.0.ln_channels.beta"),
      "no tensor spatial.layers.0.ln_channels.beta"),
+    ("unknown tensor row", lambda ls: ls + ["spatial.extra\t4\t0"], "unknown tensor spatial.extra"),
     ("garbled tensor row", lambda ls: [("spatial.fc_w\tfour\t0" if ln.startswith("spatial.fc_w\t") else ln)
                                       for ln in ls], "bad [tensors] row"),
     ("unnumbered layer", lambda ls: [ln.replace("spatial.layers.1.", "spatial.layers.one.") for ln in ls],
-     "spatial.layers.* must be numbered"),
-    ("too many spatial layers", lambda ls: [("spatial_n_layers=3" if ln.startswith("spatial_n_layers=") else ln)
-                                           for ln in ls], "spatial.layers holds 2 layers for n_layers=3"),
+     "no tensor spatial.layers.1.token_mlp.w_in"),
+    ("too many spatial layers", set_key("layers", "3"), "no tensor spatial.layers.2.token_mlp.w_in"),
+    ("share_layers=false over shared offsets", share_offsets("spatial.layers.0.", "spatial.layers.1."),
+     "spatial.layers.1.token_mlp.w_in shares storage with spatial.layers.0.token_mlp.w_in"),
+    ("pre-change manifest with a [model] section",
+     lambda ls: ["[model]", "grid_h=4", "grid_w=6", "grid_d=2", "spatial_n_layers=2"] + ls,
+     "unknown section [model]"),
 ]
 
 
@@ -193,15 +245,14 @@ def test_malformed_manifest_is_a_format_error(tmp_path, edit, message):
 def test_malformed_checkpoint_exits_2_with_one_line(tmp_path, capsys):
     from mlpst.cli import main
 
-    cfg, params = build()
+    cfg, params = build(share_layers=False)
     data = tmp_path / "d.stgrid"
     assert main(["synth", "--kind", "periodic", "--out", str(data), "--height", "4",
                  "--width", "6", "--steps", "60", "--period", "12", "--seed", "1"]) == 0
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, params, cfg.temporal,
-                               stats=NormStats(lo=np.zeros(2), hi=np.ones(2)))
-    for edit, message in ((drop_key("patch"), "key 'patch'"),
-                          (reshape_leaf("spatial.fc_b", "5"), "spatial.fc_b has shape 5")):
+    for _, edit, message in MALFORMED_MANIFESTS:
+        checkpoint.save_checkpoint(path, params, cfg.temporal,
+                                   stats=NormStats(lo=np.zeros(2), hi=np.ones(2)))
         rewrite_manifest(path, edit)
         capsys.readouterr()
         code = main(["predict", "--checkpoint", str(path), "--data", str(data),
@@ -209,8 +260,46 @@ def test_malformed_checkpoint_exits_2_with_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert message in err and len(err.strip().splitlines()) == 1
-        checkpoint.save_checkpoint(path, params, cfg.temporal,
-                                   stats=NormStats(lo=np.zeros(2), hi=np.ones(2)))
+
+
+# edits that leave a parameter tree no model config can describe
+INDESCRIBABLE = {
+    "fusion weights shared": lambda p: setattr(p, "w_period", p.w_trend),
+    "spatial layers of two widths": lambda p: setattr(
+        p.spatial.layers[1], "token_mlp", tensor.mlp_block_init(6, 7, 0)),
+    "spatial depth differs": lambda p: setattr(p.spatial, "n_layers", 3),
+}
+
+
+@pytest.mark.parametrize("edit", INDESCRIBABLE.values(), ids=INDESCRIBABLE.keys())
+def test_indescribable_tree_is_refused_at_save(tmp_path, edit):
+    cfg, params = build(share_layers=False)
+    edit(params)
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(FormatError):
+        checkpoint.save_checkpoint(path, params, cfg.temporal)
+    assert not path.exists()
+
+
+def test_evaluate_uses_the_checkpoints_own_window(tmp_path, capsys):
+    from mlpst import evaluation, ingestion, training
+    from mlpst.cli import main
+
+    cfg, params = build()
+    data = tmp_path / "d.stgrid"
+    assert main(["synth", "--kind", "periodic", "--out", str(data), "--height", "4",
+                 "--width", "6", "--steps", "60", "--period", "12", "--seed", "1"]) == 0
+    stats = NormStats(lo=np.zeros(2), hi=np.ones(2))
+    path = tmp_path / "m.ckpt"
+    # the echo names no window: the saved config still holds trend_interval=6
+    checkpoint.save_checkpoint(path, params, cfg.temporal, "seed=3\n", stats)
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data), "--checkpoint", str(path)]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    values = ingestion.read_dataset(data).values
+    anchors = training.split_anchors(len(values), cfg.temporal, (0.7, 0.1, 0.2)).test
+    want = evaluation.evaluate_model(params, cfg.temporal, values, anchors, stats, batch_size=64)
+    assert row.split(",")[2] == want.csv_row().split(",")[2]
 
 
 def test_failed_save_keeps_old_file(tmp_path):

@@ -322,8 +322,9 @@ class TestNonFinite:
 
 
 class TestThreadCap:
-    def test_mlpst_threads_env_smoke(self, tmp_path):
-        # the cap is applied at import time, so exercise a fresh process
+    # the cap is applied at import time, so each test runs a fresh process
+    @staticmethod
+    def child(args, **env_vars):
         import os
         import subprocess
         import sys
@@ -338,17 +339,27 @@ class TestThreadCap:
             if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                          "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
         }
-        env["MLPST_THREADS"] = "1"
+        env.update(env_vars)
         package_root = str(Path(mlpst.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (package_root, env.get("PYTHONPATH")) if p
         )
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+    def test_mlpst_threads_env_smoke(self, tmp_path):
         out = tmp_path / "d.stgrid"
-        proc = subprocess.run(
-            [sys.executable, "-m", "mlpst.cli", "synth", "--kind", "constant",
+        proc = self.child(
+            ["-m", "mlpst.cli", "synth", "--kind", "constant",
              "--out", str(out), "--height", "4", "--width", "4", "--steps", "10"],
-            env=env,
-            capture_output=True,
+            MLPST_THREADS="1",
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_cap_overrides_a_preset_blas_variable(self):
+        proc = self.child(
+            ["-c", "import os, mlpst.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            OPENBLAS_NUM_THREADS="4", MLPST_THREADS="1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"

@@ -5,7 +5,14 @@ import dataclasses
 import pytest
 
 from mlpst.errors import ConfigError
-from mlpst.runconfig import RunConfig, parse_config_text
+from mlpst.runconfig import (
+    LossConfig,
+    ModelConfig,
+    RunConfig,
+    TemporalConfig,
+    TrainConfig,
+    parse_config_text,
+)
 
 
 class TestParsing:
@@ -101,3 +108,21 @@ class TestValidation:
         assert cfg.loss_config().combine is True
         assert cfg.model_config().n_layers == cfg.layers
         assert cfg.train_config().split == (0.7, 0.1, 0.2)
+
+    def test_defaults_are_the_sub_configs_defaults(self):
+        cfg = RunConfig()
+        assert cfg.model_config() == ModelConfig()
+        assert cfg.temporal_config() == TemporalConfig()
+        assert cfg.train_config() == TrainConfig()
+        assert cfg.loss_config() == LossConfig()
+
+    @pytest.mark.parametrize("key, value, sub", [
+        ("q", 3, LossConfig(q=3)),
+        ("variant", "cnn", ModelConfig(variant="cnn")),
+    ])
+    def test_rules_are_the_sub_configs_rules(self, key, value, sub):
+        with pytest.raises(ConfigError) as want:
+            sub.validate()
+        with pytest.raises(ConfigError) as got:
+            RunConfig(**{key: value}).validate()
+        assert str(got.value) == str(want.value)

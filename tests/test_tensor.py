@@ -190,7 +190,7 @@ class TestMlpBlock:
 
 class TestInit:
     def test_zeros(self):
-        np.testing.assert_array_equal(tensor.init_params((2, 3), 0, "zeros"), np.zeros((2, 3)))
+        np.testing.assert_array_equal(tensor.init_params((2, 3), None), np.zeros((2, 3)))
 
     def test_same_seed_bit_identical(self):
         a = tensor.init_params((8, 5), 42)
@@ -209,10 +209,6 @@ class TestInit:
         # variance of U(-a, a) is a^2/3; three standard errors around 0
         se = bound / math.sqrt(3 * m.size)
         assert abs(m.mean()) < 3 * se
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ConfigError):
-            tensor.init_params((2, 2), 0, "orthogonal")
 
 
 class TestMultiplyCounter:
