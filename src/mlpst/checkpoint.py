@@ -26,7 +26,9 @@ rows; they are not trainable parameters and stay outside ``ModelParams``.
 from __future__ import annotations
 
 import dataclasses
+import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,46 +218,52 @@ def _parse_manifest(manifest: str) -> tuple[list[str], list[tuple[str, tuple, in
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; each distinct tensor is read straight into its leaf.
+
+    Only the header and the manifest are held as bytes; the payload is never
+    buffered whole.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        file_size = os.fstat(fh.fileno()).st_size
+        header_end = len(MAGIC) + 4
+        head = fh.read(header_end)
+        if head[: len(MAGIC)] != MAGIC:
+            raise FormatError(f"not an MLPST1 checkpoint: bad magic {head[:6]!r}", offset=0)
+        if len(head) < header_end:
+            raise FormatError("truncated checkpoint header", offset=len(head))
+        (manifest_len,) = struct.unpack("<I", head[len(MAGIC) :])
+        manifest_end = header_end + manifest_len
+        if file_size < manifest_end:
+            raise FormatError(
+                f"truncated manifest: expected {manifest_len} bytes", offset=file_size
+            )
+        config_lines, rows = _parse_manifest(fh.read(manifest_len).decode("utf-8"))
 
-    if blob[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"not an MLPST1 checkpoint: bad magic {blob[:6]!r}", offset=0)
-    header_end = len(MAGIC) + 4
-    if len(blob) < header_end:
-        raise FormatError("truncated checkpoint header", offset=len(blob))
-    (manifest_len,) = struct.unpack("<I", blob[len(MAGIC) : header_end])
-    manifest_end = header_end + manifest_len
-    if len(blob) < manifest_end:
-        raise FormatError(
-            f"truncated manifest: expected {manifest_len} bytes", offset=len(blob)
-        )
-    manifest = blob[header_end:manifest_end].decode("utf-8")
-    payload = blob[manifest_end:]
+        payload_len = file_size - manifest_end
+        needed = 0
+        for _, shape, offset in rows:
+            size = 8 * int(np.prod(shape)) if shape else 8
+            needed = max(needed, offset + size)
+        if payload_len < needed:
+            raise FormatError(
+                f"truncated payload: expected at least {needed} bytes, "
+                f"got {payload_len}",
+                offset=file_size,
+            )
 
-    config_lines, rows = _parse_manifest(manifest)
-
-    needed = 0
-    for _, shape, offset in rows:
-        size = 8 * int(np.prod(shape)) if shape else 8
-        needed = max(needed, offset + size)
-    if len(payload) < needed:
-        raise FormatError(
-            f"truncated payload: expected at least {needed} bytes, "
-            f"got {len(payload)}",
-            offset=manifest_end + len(payload),
-        )
-
-    given = {line.partition("=")[0] for line in config_lines}
-    for f in dataclasses.fields(RunConfig):
-        if f.name not in given:
-            raise FormatError(f"checkpoint [config] has no key {f.name!r}")
-    try:
-        cfg = parse_config_text("\n".join(config_lines))
-        params, stats, expected = _skeleton(cfg, any(row[0] == "stats.lo" for row in rows))
-    except ConfigError as exc:
-        raise FormatError(f"checkpoint [config]: {exc}") from None
-    for arr, offset in _match(expected, rows):
-        flat = np.frombuffer(payload, dtype="<f8", count=arr.size, offset=offset)
-        arr[...] = flat.reshape(arr.shape)
+        given = {line.partition("=")[0] for line in config_lines}
+        for f in dataclasses.fields(RunConfig):
+            if f.name not in given:
+                raise FormatError(f"checkpoint [config] has no key {f.name!r}")
+        try:
+            cfg = parse_config_text("\n".join(config_lines))
+            params, stats, expected = _skeleton(cfg, any(row[0] == "stats.lo" for row in rows))
+        except ConfigError as exc:
+            raise FormatError(f"checkpoint [config]: {exc}") from None
+        for arr, offset in _match(expected, rows):
+            fh.seek(manifest_end + offset)
+            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+                raise FormatError("checkpoint payload changed while it was read", offset=fh.tell())
+            if sys.byteorder == "big":  # the payload is little-endian
+                arr.byteswap(inplace=True)
     return Checkpoint(params=params, config=cfg, stats=stats)

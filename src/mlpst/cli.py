@@ -172,24 +172,24 @@ def cmd_predict(args) -> int:
     from .griddata import apply_norm, invert_norm, required_history
     from .training import stats_for_output
 
-    dataset = ingestion.read_dataset(args.data)
+    header = ingestion.read_header(args.data)
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.stats is None:
         raise ConfigError("checkpoint carries no normalisation stats")
-    anchor = args.at if args.at is not None else dataset.n_steps
-    if anchor < 1 or anchor > dataset.n_steps:
-        raise ConfigError(f"--at must be in [1, {dataset.n_steps}], got {anchor}")
-    # the window reads only the last required_history maps; normalising is
-    # elementwise, so the rest need not be touched
+    anchor = args.at if args.at is not None else header.n_steps
+    if anchor < 1 or anchor > header.n_steps:
+        raise ConfigError(f"--at must be in [1, {header.n_steps}], got {anchor}")
+    # the window needs only the last required_history maps, so only they are
+    # read, checked and normalised
     start = max(0, anchor - required_history(ckpt.temporal))
-    history = apply_norm(dataset.values[start:anchor], ckpt.stats)
-    pred_norm, _ = mixer.model_forward(history, ckpt.temporal, ckpt.params)
+    history = apply_norm(ingestion.read_maps(args.data, header, start, anchor), ckpt.stats)
+    pred_norm, _ = mixer.model_forward(history, ckpt.temporal, ckpt.params, keep_cache=False)
     pred = invert_norm(
         pred_norm, stats_for_output(ckpt.stats, ckpt.params.predict_channel)
     )
     out = ingestion.GridDataset(
-        h=dataset.h, w=dataset.w, d=pred.shape[-1],
-        interval_seconds=dataset.interval_seconds, box=dataset.box,
+        h=header.h, w=header.w, d=pred.shape[-1],
+        interval_seconds=header.interval_seconds, box=header.box,
         values=pred[np.newaxis],
     )
     ingestion.write_dataset(args.out, out)

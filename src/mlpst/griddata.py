@@ -132,18 +132,18 @@ def slice_dependencies(
     return history[n + trend], history[n + period], history[n + closeness]
 
 
-def check_finite(maps: Array, source: str | None = None) -> None:
+def check_finite(maps: Array, source: str | None = None, first_step: int = 0) -> None:
     """Raise :class:`DataError` naming the first time step holding NaN or inf.
 
-    ``maps`` is a ``(T, ...)`` stack; ``source`` (a file name) prefixes the
-    message when given.
+    ``maps`` is a ``(T, ...)`` stack whose first map is time step
+    ``first_step``; ``source`` (a file name) prefixes the message when given.
     """
     bad = ~np.isfinite(maps)
     if bad.any():
         step = int(np.argmax(bad.reshape(len(maps), -1).any(axis=1)))
         value = maps[step][bad[step]][0]
         where = f"{source}: " if source else ""
-        raise DataError(f"{where}non-finite value {value} at time step {step}")
+        raise DataError(f"{where}non-finite value {value} at time step {first_step + step}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -30,6 +31,7 @@ Array = np.ndarray
 
 MAGIC = b"STGRID1"
 _HEADER = struct.Struct("<IIIIQ4d")
+_HEADER_END = len(MAGIC) + _HEADER.size
 
 TRIP_COLUMNS = (
     "pickup_datetime",
@@ -251,34 +253,63 @@ def write_dataset(path, dataset: GridDataset) -> None:
         fh.write(np.ascontiguousarray(dataset.values, dtype="<f8").data)
 
 
-def read_dataset(path) -> GridDataset:
+@dataclass(frozen=True)
+class GridHeader:
+    """An STGRID1 header whose payload size has been checked against it."""
+
+    h: int
+    w: int
+    d: int
+    n_steps: int
+    interval_seconds: int
+    box: tuple[float, float, float, float]
+
+
+def read_header(path) -> GridHeader:
+    """Read an STGRID1 header; the payload must hold exactly ``T*H*W*d`` values."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"not an STGRID1 file: bad magic {blob[:7]!r}", offset=0)
-    header_end = len(MAGIC) + _HEADER.size
-    if len(blob) < header_end:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER_END)
+    if head[: len(MAGIC)] != MAGIC:
+        raise FormatError(f"not an STGRID1 file: bad magic {head[:7]!r}", offset=0)
+    if len(head) < _HEADER_END:
         raise FormatError(
-            f"truncated header: expected {header_end} bytes, got {len(blob)}",
-            offset=len(blob),
+            f"truncated header: expected {_HEADER_END} bytes, got {len(head)}",
+            offset=len(head),
         )
-    h, w, d, t, interval, *box = _HEADER.unpack(blob[len(MAGIC) : header_end])
+    h, w, d, t, interval, *box = _HEADER.unpack(head[len(MAGIC) :])
     expected = t * h * w * d * 8
-    actual = len(blob) - header_end
+    actual = size - _HEADER_END
     if actual != expected:
         raise FormatError(
             f"payload length mismatch: expected {expected} bytes for "
             f"{t}x{h}x{w}x{d} values, got {actual}",
-            offset=header_end,
+            offset=_HEADER_END,
         )
-    values = (
-        np.frombuffer(blob, dtype="<f8", count=t * h * w * d, offset=header_end)
-        .astype(np.float64)
-        .reshape(t, h, w, d)
-    )
-    check_finite(values, str(path))
+    return GridHeader(h=h, w=w, d=d, n_steps=t, interval_seconds=interval, box=tuple(box))
+
+
+def read_maps(path, header: GridHeader, start: int, stop: int) -> Array:
+    """Maps ``start:stop`` of a file ``header`` describes, as ``(stop - start, H, W, d)``.
+
+    Only those maps are read, and only they are checked for NaN and inf; an
+    error names the absolute time step.
+    """
+    shape = (stop - start, header.h, header.w, header.d)
+    with open(path, "rb") as fh:
+        fh.seek(_HEADER_END + 8 * start * header.h * header.w * header.d)
+        values = np.fromfile(fh, dtype="<f8", count=math.prod(shape))
+    values = values.astype(np.float64, copy=False).reshape(shape)
+    check_finite(values, str(path), first_step=start)
+    return values
+
+
+def read_dataset(path) -> GridDataset:
+    header = read_header(path)
     return GridDataset(
-        h=h, w=w, d=d, interval_seconds=interval, box=tuple(box), values=values
+        h=header.h, w=header.w, d=header.d,
+        interval_seconds=header.interval_seconds, box=header.box,
+        values=read_maps(path, header, 0, header.n_steps),
     )
 
 

@@ -292,12 +292,19 @@ def _stack_layer(layers: list[MixerLayerParams], i: int) -> MixerLayerParams:
 
 
 def mixer_stack_fwd(
-    v: Array, layers: list[MixerLayerParams], n_layers: int
-) -> tuple[Array, list[MixerLayerCache]]:
-    caches = []
+    v: Array, layers: list[MixerLayerParams], n_layers: int, keep_cache: bool = True
+) -> tuple[Array, list[MixerLayerCache] | None]:
+    """Run the stack; its per-layer caches, or ``None`` when ``keep_cache`` is false.
+
+    Without a cache, a layer's intermediates are freed before the next layer
+    runs, so the stack holds one layer's worth at a time.
+    """
+    caches = [] if keep_cache else None
     for i in range(n_layers):
         v, c = mixer_layer_fwd(v, _stack_layer(layers, i))
-        caches.append(c)
+        if keep_cache:
+            caches.append(c)
+        del c  # else this layer's cache would live through the next layer
     return v, caches
 
 
@@ -324,9 +331,12 @@ class SpatialCache(NamedTuple):
 
 
 def spatial_mixer_fwd(
-    x: Array, p: SpatialMixerParams
-) -> tuple[Array, SpatialCache]:
-    """Map grid maps ``(..., H, W, d)`` to embeddings ``(..., N_P * C_S)``."""
+    x: Array, p: SpatialMixerParams, keep_cache: bool = True
+) -> tuple[Array, SpatialCache | None]:
+    """Map grid maps ``(..., H, W, d)`` to embeddings ``(..., N_P * C_S)``.
+
+    The cache is ``None`` when ``keep_cache`` is false.
+    """
     tokens = patchify(x, p.patch)
     if tokens.shape[-1] != p.fc_w.shape[0]:
         raise ConfigError(
@@ -334,9 +344,11 @@ def spatial_mixer_fwd(
             f"input {p.fc_w.shape[0]}"
         )
     v = matmul(tokens, p.fc_w) + p.fc_b
-    y, caches = mixer_stack_fwd(v, p.layers, p.n_layers)
+    y, caches = mixer_stack_fwd(v, p.layers, p.n_layers, keep_cache)
     lead = y.shape[:-2]
     e = y.reshape(*lead, -1)
+    if not keep_cache:
+        return e, None
     return e, SpatialCache(tokens=tokens, v_shape=y.shape, layer_caches=caches)
 
 
@@ -360,16 +372,19 @@ class TemporalCache(NamedTuple):
 
 
 def temporal_mixer_fwd(
-    e_seq: Array, p: TemporalMixerParams
-) -> tuple[Array, TemporalCache]:
-    """Mix a branch sequence ``(..., len, d_T)``; shape preserved."""
+    e_seq: Array, p: TemporalMixerParams, keep_cache: bool = True
+) -> tuple[Array, TemporalCache | None]:
+    """Mix a branch sequence ``(..., len, d_T)``; shape preserved.
+
+    The cache is ``None`` when ``keep_cache`` is false.
+    """
     if e_seq.shape[-2] != p.seq_len:
         raise ConfigError(
             f"temporal sequence length {e_seq.shape[-2]} does not match the "
             f"configured length {p.seq_len}"
         )
-    y, caches = mixer_stack_fwd(e_seq, p.layers, p.n_layers)
-    return y, TemporalCache(layer_caches=caches)
+    y, caches = mixer_stack_fwd(e_seq, p.layers, p.n_layers, keep_cache)
+    return y, (TemporalCache(layer_caches=caches) if keep_cache else None)
 
 
 def temporal_mixer_bwd(
@@ -441,13 +456,19 @@ def _fusion_weights(params: ModelParams):
 
 
 def batch_forward(
-    branch_maps: tuple[Array, Array, Array], params: ModelParams
-) -> tuple[Array, ModelCache]:
+    branch_maps: tuple[Array, Array, Array], params: ModelParams, keep_cache: bool = True
+) -> tuple[Array, ModelCache | None]:
     """Forward a batch of pre-sliced windows.
 
     ``branch_maps`` holds the trend/period/closeness map stacks, each of
     shape ``(B, len, H, W, d)`` (len may be 0). Returns predictions
-    ``(B, H, W, out_channels)`` in the model's (normalised) output space.
+    ``(B, H, W, out_channels)`` in the model's (normalised) output space,
+    and the cache :func:`batch_backward` consumes.
+
+    The cache is kept by default. With ``keep_cache=False`` it is ``None``:
+    no layer's intermediates outlive the layer, which is what forward-only
+    callers (prediction, evaluation, validation) want. Both ways run the
+    same arithmetic, so the predictions are bitwise equal.
 
     The spatial mixer works per frame, so each distinct frame is embedded
     once: frames are keyed by their raw bytes (equal bytes give equal
@@ -473,7 +494,7 @@ def batch_forward(
         dtype=np.intp, count=len(flat),
     )
     _, first = np.unique(inverse, return_index=True)  # rows are numbered first-seen
-    e_frames, spatial_cache = spatial_mixer_fwd(flat[first], params.spatial)
+    e_frames, spatial_cache = spatial_mixer_fwd(flat[first], params.spatial, keep_cache)
     inverse = inverse.reshape(stacked.shape[:2])
     e_all = e_frames[inverse]  # (B, L, d_T)
 
@@ -489,16 +510,18 @@ def batch_forward(
             mixed.append(e_seq)
             temporal_caches.append(None)
         else:
-            y, c = temporal_mixer_fwd(e_seq, bp)
+            y, c = temporal_mixer_fwd(e_seq, bp, keep_cache)
             mixed.append(y)
             temporal_caches.append(c)
 
-    branch_last = tuple(None if m is None else m[:, -1, :] for m in mixed)
     e_hat = fuse(mixed[0], mixed[1], mixed[2], *_fusion_weights(params))
     pred = output_head(
         e_hat, params.w_out, params.b_out,
         params.grid_h, params.grid_w, params.out_channels,
     )
+    if not keep_cache:
+        return pred, None
+    branch_last = tuple(None if m is None else m[:, -1, :] for m in mixed)
     cache = ModelCache(
         lengths=lengths,
         spatial=spatial_cache,
@@ -568,12 +591,16 @@ def sum_rows(values: Array, rows: Array, n_rows: int) -> Array:
 
 
 def model_forward(
-    history: Array, cfg: TemporalConfig, params: ModelParams
-) -> tuple[Array, ModelCache]:
-    """Predict the next grid map from a single history stack ``(T, H, W, d)``."""
+    history: Array, cfg: TemporalConfig, params: ModelParams, keep_cache: bool = True
+) -> tuple[Array, ModelCache | None]:
+    """Predict the next grid map from a single history stack ``(T, H, W, d)``.
+
+    The cache for :func:`model_backward` is kept unless ``keep_cache`` is
+    false, in which case it is ``None`` (see :func:`batch_forward`).
+    """
     trend, period, closeness = slice_dependencies(history, cfg)
     branch_maps = tuple(m[np.newaxis] for m in (trend, period, closeness))
-    pred, cache = batch_forward(branch_maps, params)
+    pred, cache = batch_forward(branch_maps, params, keep_cache=keep_cache)
     return pred[0], cache
 
 

@@ -171,6 +171,16 @@ class RunConfig:
 
     # -- conversions ---------------------------------------------------
 
+    @classmethod
+    def from_configs(cls, model: ModelConfig, train: TrainConfig, loss: LossConfig) -> "RunConfig":
+        """The run configuration whose sub-configs are ``model``, ``train`` and ``loss``.
+
+        The inverse of :meth:`model_config`, :meth:`train_config` and
+        :meth:`loss_config`; grid geometry and ``window`` stay unset.
+        """
+        subs = {ModelConfig: model, TemporalConfig: model.temporal, TrainConfig: train, LossConfig: loss}
+        return cls(**{key: getattr(subs[c], f.name) for key, (c, f) in _SUB_KEYS.items()})
+
     def _sub(self, cls, **extra):
         kwargs = {f.name: getattr(self, key) for key, (c, f) in _SUB_KEYS.items() if c is cls}
         return cls(**kwargs, **extra)

@@ -4,7 +4,10 @@ Every primitive the model needs lives here: GELU, LayerNorm, the two-layer
 MLP (row-wise, and column-wise for token mixing), the residual MLP block,
 seeded initialisation, and a matmul wrapper that can count scalar
 multiplies for complexity measurements. There is no autodiff tape; each
-``*_fwd`` returns a cache that its ``*_bwd`` partner consumes.
+``*_fwd`` returns a cache that its ``*_bwd`` partner consumes. Whether a
+cache is kept is the caller's choice: training keeps every one until the
+backward pass, while forward-only callers (``mixer.batch_forward`` with
+``keep_cache=False``) drop a mixer layer's caches when the layer returns.
 
 Conventions:
 

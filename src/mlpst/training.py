@@ -26,7 +26,7 @@ from .griddata import (
     required_history,
 )
 from .mixer import ModelParams, batch_backward, batch_forward, build_params
-from .runconfig import LossConfig, ModelConfig, TemporalConfig, TrainConfig
+from .runconfig import LossConfig, ModelConfig, RunConfig, TemporalConfig, TrainConfig
 
 Array = np.ndarray
 
@@ -174,12 +174,15 @@ def select_target(maps: Array, predict_channel: int | None) -> Array:
 def predict_batches(
     params: ModelParams, maps: Array, anchors: Array, cfg: TemporalConfig, batch_size: int
 ) -> Array:
-    """Forward passes over anchors in batches; returns stacked predictions."""
+    """Forward passes over anchors in batches; returns stacked predictions.
+
+    Forward only: no batch keeps a backward cache.
+    """
     preds = []
     for start in range(0, len(anchors), batch_size):
         chunk = anchors[start : start + batch_size]
         branch_maps = gather_windows(maps, chunk, cfg)
-        pred, _ = batch_forward(branch_maps, params)
+        pred, _ = batch_forward(branch_maps, params, keep_cache=False)
         preds.append(pred)
     return np.concatenate(preds, axis=0)
 
@@ -215,12 +218,15 @@ def train(
     ``log``. Validation MAE is computed in the original data scale; the
     checkpoint with the lowest validation MAE wins. When ``checkpoint_path``
     is given, the best parameters so far are kept in ``<path>.best`` and the
-    final best set is written to ``<path>``.
+    final best set is written to ``<path>``. Their ``[config]`` is
+    ``config_text``, or, when that is empty, the configs this call ran with.
     """
     t0 = time.monotonic()
     model_cfg.validate()
     train_cfg.validate()
     loss_cfg.validate()
+    if not config_text:
+        config_text = RunConfig.from_configs(model_cfg, train_cfg, loss_cfg).to_text()
 
     maps = np.asarray(maps, dtype=np.float64)
     if maps.ndim != 4:

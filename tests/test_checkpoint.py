@@ -2,6 +2,7 @@
 
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,13 +122,20 @@ class TestFormatErrors:
         with pytest.raises(FormatError, match="magic"):
             checkpoint.load_checkpoint(path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(checkpoint.MAGIC + b"\x01\x00")
+        with pytest.raises(FormatError, match=r"^truncated checkpoint header \(at byte 8\)$"):
+            checkpoint.load_checkpoint(path)
+
     def test_truncated_manifest(self, tmp_path):
         cfg, params = build()
         path = tmp_path / "m.ckpt"
         checkpoint.save_checkpoint(path, params, cfg.temporal)
         blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[6:10])
         path.write_bytes(blob[:20])
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match=rf"^truncated manifest: expected {length} bytes \(at byte 20\)$"):
             checkpoint.load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -135,9 +143,38 @@ class TestFormatErrors:
         path = tmp_path / "m.ckpt"
         checkpoint.save_checkpoint(path, params, cfg.temporal)
         blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[6:10])
+        payload = len(blob) - 10 - length
         path.write_bytes(blob[:-16])
-        with pytest.raises(FormatError, match="payload"):
+        with pytest.raises(FormatError, match=(
+            rf"^truncated payload: expected at least {payload} bytes, got {payload - 16} "
+            rf"\(at byte {len(blob) - 16}\)$"
+        )):
             checkpoint.load_checkpoint(path)
+
+
+def test_load_reads_each_tensor_straight_into_its_leaf(tmp_path):
+    # the default model at 16x16x2 holds 6.4 MB of parameters; a loader that
+    # buffers the file, or a copy of its payload, peaks at 2x or 3x that
+    cfg = mixer.ModelConfig()
+    params = mixer.build_params(cfg, 16, 16, 2, seed=8)
+    stats = NormStats(lo=np.array([0.5, 1.5]), hi=np.array([9.25, 3.75]))
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, params, cfg.temporal, stats=stats)
+    param_bytes = sum(arr.nbytes for _, arr in tree.unique_leaves(params))
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = checkpoint.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * param_bytes
+    assert_params_equal(params, loaded.params)
+    assert first_holders(loaded.params) == first_holders(params)
+    assert loaded.stats.lo.tobytes() == stats.lo.tobytes()
+    assert loaded.stats.hi.tobytes() == stats.hi.tobytes()
 
 
 def rewrite_manifest(path, edit):

@@ -279,6 +279,64 @@ class TestEvaluatePredictInspect:
         assert run(["evaluate"]) == 3
 
 
+def write_with_value(src, dst, step, value):
+    """Write ``src``'s dataset to ``dst`` with one entry of map ``step`` set to ``value``."""
+    dataset = ingestion.read_dataset(src)
+    values = dataset.values.copy()
+    values[step, 1, 2, 0] = value
+    ingestion.write_dataset(dst, ingestion.GridDataset(
+        h=dataset.h, w=dataset.w, d=dataset.d, interval_seconds=dataset.interval_seconds,
+        box=dataset.box, values=values,
+    ))
+
+
+class TestPredictReadsItsWindow:
+    # tiny_config's window reaches 24 steps back, so --at 100 reads maps 76..99
+
+    def predict(self, data, trained, out):
+        return run(["predict", "--data", str(data), "--checkpoint", str(trained),
+                    "--at", "100", "--out", str(out)])
+
+    @pytest.mark.parametrize("step", [0, 75, 100, 119])
+    def test_non_finite_outside_window_leaves_output_bytes_unchanged(
+        self, synth_data, trained, tmp_path, step
+    ):
+        bad = tmp_path / "bad.stgrid"
+        write_with_value(synth_data, bad, step, np.nan)
+        assert self.predict(synth_data, trained, tmp_path / "want.stgrid") == 0
+        assert self.predict(bad, trained, tmp_path / "got.stgrid") == 0
+        assert (tmp_path / "got.stgrid").read_bytes() == (tmp_path / "want.stgrid").read_bytes()
+
+    @pytest.mark.parametrize("step, value", [(76, np.nan), (90, np.inf), (99, -np.inf)])
+    def test_non_finite_inside_window_names_its_time_step(
+        self, synth_data, trained, tmp_path, capsys, step, value
+    ):
+        bad = tmp_path / "bad.stgrid"
+        write_with_value(synth_data, bad, step, value)
+        out = tmp_path / "pred.stgrid"
+        capsys.readouterr()
+        assert self.predict(bad, trained, out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: non-finite value {value} at time step {step}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [-8, 8])
+    def test_payload_length_mismatch_exits_2_naming_offset(
+        self, synth_data, trained, tmp_path, capsys, extra
+    ):
+        blob = synth_data.read_bytes()
+        bad = tmp_path / "bad.stgrid"
+        bad.write_bytes(blob[:extra] if extra < 0 else blob + b"\x00" * extra)
+        capsys.readouterr()
+        assert self.predict(bad, trained, tmp_path / "pred.stgrid") == 2
+        expected = 120 * 4 * 4 * 2 * 8
+        assert capsys.readouterr().err == (
+            f"error: payload length mismatch: expected {expected} bytes for 120x4x4x2 values, "
+            f"got {expected + extra} (at byte 63)\n"
+        )
+
+
 class TestNonFinite:
     # synth_data under tiny_config: anchors 24..90 train, 91..99 validate
     @pytest.mark.parametrize("step, value", [

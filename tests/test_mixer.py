@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mlpst import mixer, tensor, tree
+from mlpst import mixer, tensor, training, tree
 from mlpst.errors import ConfigError
 from mlpst.gradcheck import central_diff, compare_grads, merge_results, rel_errors
 from mlpst.griddata import TemporalConfig
@@ -616,6 +616,50 @@ class TestFrameMerge:
         assert (fwd2, bwd2) == (fwd5, bwd5)
         fwd1, _, _ = spatial_counts(np.array([16]))
         assert fwd5 * 6 == frames5 * fwd1 < 5 * 6 * fwd1
+
+
+class TestForwardOnly:
+    """``keep_cache=False`` runs the cached forward's arithmetic and keeps nothing."""
+
+    @pytest.mark.parametrize("grid", [(10, 20, 2), (32, 32, 2)], ids=["10x20x2", "32x32x2"])
+    @pytest.mark.parametrize("share_branches", [False, True], ids=["apart", "shared"])
+    @pytest.mark.parametrize("variant", ["full", "mlp_at", "mlp_sa"])
+    def test_bitwise_equal_to_cached_forward(self, grid, share_branches, variant):
+        h, w, d = grid
+        cfg = mixer.ModelConfig(variant=variant, share_branches=share_branches)
+        params = mixer.build_params(cfg, h, w, d, seed=4)
+        rng = np.random.default_rng(4)
+        for _, arr in tree.unique_leaves(params):
+            arr += rng.normal(scale=0.05, size=arr.shape)
+        maps = rng.uniform(size=(341, h, w, d))
+        anchors = np.array([336, 337, 339, 341, 340])  # consecutive anchors share frames
+
+        got = training.predict_batches(params, maps, anchors, cfg.temporal, batch_size=2)
+        want = []
+        for start in range(0, len(anchors), 2):
+            branch_maps = gather_windows(maps, anchors[start : start + 2], cfg.temporal)
+            pred, cache = mixer.batch_forward(branch_maps, params)
+            assert isinstance(cache, mixer.ModelCache)
+            want.append(pred)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+        history = maps[:339]
+        cached, cache = mixer.model_forward(history, cfg.temporal, params)
+        lean, no_cache = mixer.model_forward(history, cfg.temporal, params, keep_cache=False)
+        assert no_cache is None and cache is not None
+        assert lean.tobytes() == cached.tobytes()
+
+    def test_branch_forwards_return_no_cache(self):
+        params = mixer.build_params(small_config(), 4, 4, 2, seed=2)
+        rng = np.random.default_rng(2)
+        randomise_leaves(params, rng)
+        x = rng.normal(size=(2, 4, 4, 2))
+        e, spatial = mixer.spatial_mixer_fwd(x, params.spatial, False)
+        y, temporal = mixer.temporal_mixer_fwd(e[np.newaxis], params.temporal_trend, False)
+        assert spatial is None and temporal is None
+        want_e, _ = mixer.spatial_mixer_fwd(x, params.spatial)
+        want_y, _ = mixer.temporal_mixer_fwd(want_e[np.newaxis], params.temporal_trend)
+        assert e.tobytes() == want_e.tobytes() and y.tobytes() == want_y.tobytes()
 
 
 class TestSharing:

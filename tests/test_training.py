@@ -1,12 +1,13 @@
 """Tests for loss, Adam, anchor splitting and the training loop."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from mlpst import mixer, training, tree
+from mlpst import checkpoint, mixer, training, tree
 from mlpst.errors import ConfigError, DataError
 from mlpst.gradcheck import central_diff, rel_errors
 from mlpst.griddata import TemporalConfig, slice_dependencies
@@ -275,3 +276,44 @@ class TestTrainLoop:
             parts = line.split(",")
             assert parts[0] == "epoch" and parts[2] == "train_loss" and parts[4] == "val_mae"
             float(parts[3]), float(parts[5])
+
+    def test_checkpoint_records_the_configs_it_ran_with(self, tmp_path):
+        data = synth("periodic", 4, 4, steps=120, seed=11, period=12)
+        out = tmp_path / "model.ckpt"
+        training.train(
+            data.values, tiny_model_cfg(),
+            TrainConfig(batch_size=5, max_epochs=2, patience=10, split=(0.6, 0.2, 0.2),
+                        seed=3, lr=0.002),
+            LossConfig(q=1),
+            checkpoint_path=str(out),
+        )
+        for path in (out, tmp_path / "model.ckpt.best"):
+            cfg = checkpoint.load_checkpoint(path).config
+            assert cfg.split == (0.6, 0.2, 0.2)
+            assert (cfg.batch_size, cfg.seed, cfg.lr, cfg.max_epochs, cfg.q) == (5, 3, 0.002, 2, 1)
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Bytes of the highest live ``tracemalloc`` total during ``fn(*args, **kwargs)``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_only_batch_holds_no_backward_cache():
+    # the default model at 16x16x2: 8 layers per stack, d_T = 1280; one
+    # batch of 8 windows. Seen: 8.4 MB forward only, 84 MB with the cache.
+    cfg = mixer.ModelConfig()
+    params = mixer.build_params(cfg, 16, 16, 2, seed=1)
+    maps = np.random.default_rng(0).uniform(size=(344, 16, 16, 2))
+    anchors = np.arange(336, 344)
+    branch_maps = gather_windows(maps, anchors, cfg.temporal)
+
+    cached = traced_peak(mixer.batch_forward, branch_maps, params)
+    forward_only = traced_peak(training.predict_batches, params, maps, anchors, cfg.temporal, 8)
+    bound = 16 * 2**20
+    assert forward_only < bound < cached / 4
