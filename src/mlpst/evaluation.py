@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, MlpstError
-from .griddata import NormStats, apply_norm, invert_norm
+from .griddata import NormStats, apply_norm, invert_norm, required_history
 from .mixer import ModelParams, param_total
 from .runconfig import TemporalConfig
 from .training import predict_batches, select_target, stats_for_output
@@ -165,14 +165,24 @@ def evaluate_model(
     """Evaluate a trained model on raw maps over the given anchors.
 
     Predictions are made in normalised space and inverted to the original
-    scale before any metric is computed.
+    scale before any metric is computed. Every anchor needs its full window
+    and a target inside ``maps``; only the maps the windows read are
+    normalised.
     """
     anchors = np.asarray(anchors)
     if anchors.size == 0:
         raise ConfigError("empty test split: nothing to evaluate")
-    normed = apply_norm(maps, stats)
+    need = required_history(temporal)
+    bad = (anchors < need) | (anchors >= len(maps))
+    if bad.any():
+        raise DataError(
+            f"anchor {anchors[bad][0]} is outside [{need}, {len(maps) - 1}]: "
+            f"a window needs {need} earlier maps and the target map"
+        )
+    first = int(anchors.min()) - need
+    normed = apply_norm(maps[first : int(anchors.max())], stats)
     t0 = time.monotonic()
-    preds_norm = predict_batches(params, normed, anchors, temporal, batch_size)
+    preds_norm = predict_batches(params, normed, anchors - first, temporal, batch_size)
     elapsed = time.monotonic() - t0
     n_batches = -(-anchors.size // batch_size)
     preds = invert_norm(preds_norm, stats_for_output(stats, params.predict_channel))

@@ -7,6 +7,12 @@ with latitude (row 0 at the minimum latitude), columns with longitude.
 A coordinate exactly on an interior cell boundary lands in the lower-index
 cell; the box maximum edge lands in the last cell.
 
+Trips CSVs are read in chunks of ``CHUNK_ROWS`` lines, column by column:
+each chunk becomes one float64 block of its parseable trips, which
+:func:`aggregate` bins with array arithmetic and adds into the grid with
+``np.add.at``; the counts are exact integers. Memory is bounded by the
+chunk, not the file.
+
 STGRID1 files: magic ``STGRID1``, little-endian header (H, W, d, T as u32,
 interval_seconds as u64, bounding box as 4 f64), then T*H*W*d float64
 values in (t, h, w, d) order.
@@ -18,8 +24,10 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain, compress, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +41,8 @@ MAGIC = b"STGRID1"
 _HEADER = struct.Struct("<IIIIQ4d")
 _HEADER_END = len(MAGIC) + _HEADER.size
 
+CHUNK_ROWS = 1 << 14  # trips CSV lines read and parsed at a time
+
 TRIP_COLUMNS = (
     "pickup_datetime",
     "dropoff_datetime",
@@ -43,8 +53,9 @@ TRIP_COLUMNS = (
 )
 
 
-@dataclass
-class TripRecord:
+class TripRecord(NamedTuple):
+    """One trip, its fields in ``TRIP_COLUMNS`` order."""
+
     pickup_time: float
     dropoff_time: float
     pickup_lat: float
@@ -131,92 +142,217 @@ def parse_time(text: str) -> float:
     return stamp.timestamp()
 
 
-def parse_trip_row(row: dict) -> TripRecord:
-    """Build a record from a CSV row; raises ValueError on any bad field."""
-    record = TripRecord(
-        pickup_time=parse_time(row["pickup_datetime"]),
-        dropoff_time=parse_time(row["dropoff_datetime"]),
-        pickup_lat=float(row["pickup_lat"]),
-        pickup_lon=float(row["pickup_lon"]),
-        dropoff_lat=float(row["dropoff_lat"]),
-        dropoff_lon=float(row["dropoff_lon"]),
-    )
-    values = (
-        record.pickup_lat, record.pickup_lon, record.dropoff_lat, record.dropoff_lon
-    )
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError("coordinates must be finite")
-    if record.dropoff_time < record.pickup_time:
-        raise ValueError("dropoff before pickup")
-    return record
+def _floats(column) -> Array:
+    """``float`` of every string; NaN where it raises."""
+    values, rest = [], iter(column)
+    while True:
+        try:
+            values.extend(map(float, rest))
+            return np.array(values, dtype=np.float64)
+        except ValueError:  # ``rest`` has moved past the string that raised
+            values.append(math.nan)
+
+
+# the strict ISO form YYYY-MM-DDTHH:MM:SS, optionally followed by Z or +00:00
+_ISO_WIDTH = 25
+_ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_ISO_PUNCT = [4, 7, 10, 13, 16]
+_ISO_PUNCT_CODES = [ord(ch) for ch in "--T::"]
+_UTC_CODES = [ord(ch) for ch in "+00:00"]
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _days_from_civil(year: Array, month: Array, day: Array) -> Array:
+    """Days since 1970-01-01 of proleptic Gregorian dates with ``year >= 1``."""
+    year = year - (month <= 2)
+    era = year // 400
+    yoe = year - era * 400
+    doy = (153 * np.where(month > 2, month - 3, month + 9) + 2) // 5 + day - 1
+    doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
+    return era * 146097 + doe - 719468
+
+
+def _times(column) -> Array:
+    """:func:`parse_time` of every string; NaN where it raises.
+
+    Up to 15 ASCII digits (epoch seconds) and the strict UTC form
+    ``YYYY-MM-DDTHH:MM:SS[Z|+00:00]`` with an existing date and time are
+    converted vectorised; every other string goes through ``parse_time``.
+    """
+    n = len(column)
+    lengths = np.fromiter(map(len, column), np.intp, n)
+    # longer strings are cut short here, but their lengths send them to parse_time
+    codes = np.array(column, dtype=f"U{_ISO_WIDTH}").view(np.int32).reshape(n, _ISO_WIDTH)
+    digit = (codes >= ord("0")) & (codes <= ord("9"))
+    out = np.empty(n)
+
+    # float() reads up to 15 digits exactly, as parse_time does
+    epoch = (lengths >= 1) & (lengths <= 15) & (digit.sum(axis=1) == lengths)
+    out[epoch] = np.fromiter(map(float, compress(column, epoch)), np.float64, np.count_nonzero(epoch))
+
+    iso = (lengths == 19) | ((lengths == 20) & (codes[:, 19] == ord("Z")))
+    iso |= (lengths == 25) & (codes[:, 19:25] == _UTC_CODES).all(axis=1)
+    iso &= digit[:, _ISO_DIGITS].all(axis=1) & (codes[:, _ISO_PUNCT] == _ISO_PUNCT_CODES).all(axis=1)
+    rows = np.flatnonzero(iso)
+    d = codes[rows, :19].astype(np.int64) - ord("0")
+    year = d[:, 0] * 1000 + d[:, 1] * 100 + d[:, 2] * 10 + d[:, 3]
+    month, day = d[:, 5] * 10 + d[:, 6], d[:, 8] * 10 + d[:, 9]
+    hour, minute, second = d[:, 11] * 10 + d[:, 12], d[:, 14] * 10 + d[:, 15], d[:, 17] * 10 + d[:, 18]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _DAYS_IN_MONTH[np.clip(month, 0, 12)] + (leap & (month == 2))
+    valid = (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    valid &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    days = _days_from_civil(year[valid], month[valid], day[valid])
+    seconds = days * 86400 + hour[valid] * 3600 + minute[valid] * 60 + second[valid]
+    out[rows[valid]] = seconds.astype(np.float64)
+    iso[rows[~valid]] = False  # parse_time has the last word on impossible dates
+
+    for i in np.flatnonzero(~(epoch | iso)).tolist():
+        try:
+            out[i] = parse_time(column[i])
+        except ValueError:
+            out[i] = math.nan
+    return out
+
+
+def _trip_block(columns, summary: IngestSummary) -> Array:
+    """The parseable rows of one chunk as an ``(n, 6)`` block; tallies the chunk.
+
+    A row is unparseable if any of its six values is not a finite number
+    or its dropoff precedes its pickup.
+    """
+    n = len(columns[0])
+    block = np.empty((n, len(TRIP_COLUMNS)))
+    block[:, 0] = _times(columns[0])
+    block[:, 1] = _times(columns[1])
+    for j in range(2, len(TRIP_COLUMNS)):
+        block[:, j] = _floats(columns[j])
+    ok = np.isfinite(block).all(axis=1) & (block[:, 1] >= block[:, 0])
+    summary.total_rows += n
+    summary.unparseable += n - int(ok.sum())
+    return block[ok]
+
+
+def _columns(rows, width: int, picks: list[int]):
+    """Columns ``picks`` of split rows, read as ``csv.DictReader`` reads them.
+
+    Blank rows are skipped, short rows are padded with ``""`` and extra
+    fields are ignored; ``None`` if every row is blank.
+    """
+    rows = [row if len(row) == width else (row + [""] * width)[:width] for row in rows if row]
+    if not rows:
+        return None
+    columns = list(zip(*rows))
+    return [columns[j] for j in picks]
+
+
+def _chunk_columns(fh, width: int, picks: list[int]):
+    """Columns ``picks`` of each chunk of ``CHUNK_ROWS`` lines, as sequences of strings.
+
+    A chunk holding no quote and no CR is split with ``str.split``, which on
+    such text is exactly what the csv module does; from the first chunk that
+    holds either, the rest of the file goes through ``csv.reader``.
+    """
+    limit = csv.field_size_limit()
+    while lines := list(islice(fh, CHUNK_ROWS)):
+        text = "".join(lines)
+        if '"' in text or "\r" in text:
+            reader = csv.reader(chain(lines, fh))
+            while chunk := list(islice(reader, CHUNK_ROWS)):
+                if columns := _columns(chunk, width, picks):
+                    yield columns
+            return
+        if not text.endswith("\n"):
+            text += "\n"
+        # every line end becomes a field of its own: a chunk whose rows all
+        # hold ``width`` fields has one at every (width + 1)-th place
+        fields = text.replace("\n", ",\n,").split(",")
+        del fields[-1]
+        n = len(lines)
+        regular = len(fields) == n * (width + 1) and fields[width :: width + 1].count("\n") == n
+        if max(map(len, lines)) > limit and max(map(len, fields)) > limit:
+            raise csv.Error(f"field larger than field limit ({limit})")
+        if regular:
+            yield [fields[j :: width + 1] for j in picks]
+        elif columns := _columns([line.split(",") for line in text.split("\n")[:-1] if line], width, picks):
+            yield columns
 
 
 def read_trips(path, summary: IngestSummary):
-    """Yield parseable records from a trips CSV; tally bad rows."""
-    with open(path, newline="") as fh:
-        # a short row's absent fields read as "", which fails to parse
-        reader = csv.DictReader(fh, restval="")
-        header = reader.fieldnames or []
-        missing = [c for c in TRIP_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"trips CSV is missing columns: {', '.join(missing)}")
-        for row in reader:
-            summary.total_rows += 1
-            try:
-                yield parse_trip_row(row)
-            except (ValueError, KeyError, TypeError):
-                summary.unparseable += 1
+    """Yield the parseable trips of a trips CSV; tally every row in ``summary``.
+
+    Reads ``CHUNK_ROWS`` lines at a time and yields one ``(n, 6)`` float64
+    block per chunk (none for a chunk without parseable trips), columns in
+    ``TRIP_COLUMNS`` order, times in epoch seconds. A header name that
+    repeats reads its last column. Text that is not UTF-8 or a field over
+    ``csv.field_size_limit()`` is a :class:`DataError` naming the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), [])
+            missing = [c for c in TRIP_COLUMNS if c not in header]
+            if missing:
+                raise DataError(f"trips CSV is missing columns: {', '.join(missing)}")
+            where = {name: i for i, name in enumerate(header)}
+            for columns in _chunk_columns(fh, len(header), [where[c] for c in TRIP_COLUMNS]):
+                block = _trip_block(columns, summary)
+                if len(block):
+                    yield block
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start : exc.start + 1]
+        raise DataError(f"{path}: not UTF-8 text (byte {byte.hex()} cannot be decoded)") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 
 
-def _cell_index(x: float, lo: float, hi: float, n: int) -> int | None:
-    """Bin a coordinate; interior boundaries go to the lower-index cell."""
-    if not lo <= x <= hi:
-        return None
-    f = (x - lo) / (hi - lo) * n
-    idx = math.ceil(f) - 1
-    return min(max(idx, 0), n - 1)
+def _cells(spec: GridSpec, time: Array, lat: Array, lon: Array) -> tuple[Array, Array]:
+    """Flat ``(t, row, col)`` index of each point, and whether it lies in the grid.
+
+    Interior cell boundaries go to the lower-index cell and the box maximum
+    to the last cell; the operations are those of the scalar rule
+    ``ceil((x - lo) / (hi - lo) * n) - 1`` and Python's float ``//``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.floor_divide(time - spec.t_start, spec.interval_seconds)
+        inside = (time >= spec.t_start) & (t < spec.n_intervals)
+        index = np.where(inside, t, 0.0)
+        for x, lo, hi, n in (
+            (lat, spec.lat_min, spec.lat_max, spec.h),
+            (lon, spec.lon_min, spec.lon_max, spec.w),
+        ):
+            inside &= (x >= lo) & (x <= hi)
+            cell = np.clip(np.ceil((x - lo) / (hi - lo) * n) - 1, 0, n - 1)
+            index = index * n + np.where(inside, cell, 0.0)
+    return index.astype(np.int64), inside
 
 
-def _locate(spec: GridSpec, time: float, lat: float, lon: float):
-    if time < spec.t_start:
-        return None
-    t = int((time - spec.t_start) // spec.interval_seconds)
-    if t >= spec.n_intervals:
-        return None
-    r = _cell_index(lat, spec.lat_min, spec.lat_max, spec.h)
-    c = _cell_index(lon, spec.lon_min, spec.lon_max, spec.w)
-    if r is None or c is None:
-        return None
-    return t, r, c
-
-
-def aggregate(records, spec: GridSpec, summary: IngestSummary | None = None
+def aggregate(blocks, spec: GridSpec, summary: IngestSummary | None = None
               ) -> tuple[GridDataset, IngestSummary]:
-    """Single-pass fold of trip records into inflow/outflow grid maps."""
+    """Fold trips into inflow/outflow grid maps.
+
+    ``blocks`` yields ``(n, 6)`` arrays in ``TRIP_COLUMNS`` order, as
+    :func:`read_trips` does; a :class:`TripRecord` is a one-row block.
+    """
     spec.validate()
     if summary is None:
         summary = IngestSummary()
     values = np.zeros((spec.n_intervals, spec.h, spec.w, 2))
-    for record in records:
-        contributed = False
-        pickup = _locate(spec, record.pickup_time, record.pickup_lat, record.pickup_lon)
-        if pickup is not None:
-            t, r, c = pickup
-            values[t, r, c, 1] += 1.0
-            summary.outflow_counted += 1
-            contributed = True
-        dropoff = _locate(spec, record.dropoff_time, record.dropoff_lat, record.dropoff_lon)
-        if dropoff is not None:
-            t, r, c = dropoff
-            values[t, r, c, 0] += 1.0
-            summary.inflow_counted += 1
-            contributed = True
-        if not contributed:
-            summary.out_of_range += 1
+    flat = values.reshape(-1)
+    for block in blocks:
+        block = np.asarray(block, dtype=np.float64).reshape(-1, len(TRIP_COLUMNS))
+        pickup, pick_in = _cells(spec, block[:, 0], block[:, 2], block[:, 3])
+        dropoff, drop_in = _cells(spec, block[:, 1], block[:, 4], block[:, 5])
+        # channel 0 counts dropoffs (inflow), channel 1 pickups (outflow)
+        # np.add.at costs O(trips), where a bincount over the grid costs O(cells)
+        np.add.at(flat, 2 * dropoff[drop_in], 1.0)
+        np.add.at(flat, 2 * pickup[pick_in] + 1, 1.0)
+        summary.outflow_counted += int(pick_in.sum())
+        summary.inflow_counted += int(drop_in.sum())
+        summary.out_of_range += int((~pick_in & ~drop_in).sum())
     if summary.outflow_counted == 0 and summary.inflow_counted == 0:
         raise DataError(
             f"no usable trip records ({summary.total_rows} rows, "
@@ -234,6 +370,7 @@ def aggregate(records, spec: GridSpec, summary: IngestSummary | None = None
 
 
 def ingest_csv(path, spec: GridSpec) -> tuple[GridDataset, IngestSummary]:
+    """Aggregate a trips CSV; memory is bounded by one chunk, not the file."""
     summary = IngestSummary()
     return aggregate(read_trips(path, summary), spec, summary)
 

@@ -109,6 +109,47 @@ class TestSynthAndIngest:
         assert "lat_max" in capsys.readouterr().err
 
 
+TRIPS_HEADER = "pickup_datetime,dropoff_datetime,pickup_lat,pickup_lon,dropoff_lat,dropoff_lon\n"
+UNIT_SPEC = {"lat_min": 0.0, "lat_max": 1.0, "lon_min": 0.0, "lon_max": 1.0,
+             "h": 2, "w": 2, "interval_seconds": 100, "t_start": 0, "t_end": 200}
+
+
+def ingest(tmp_path, trips: bytes):
+    path = tmp_path / "trips.csv"
+    path.write_bytes(trips)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(UNIT_SPEC))
+    return run(["ingest", "--trips", str(path), "--spec", str(spec), "--out", str(tmp_path / "o.stgrid")])
+
+
+class TestIngestBadRows:
+    def test_non_finite_times_are_tallied_unparseable(self, tmp_path, capsys):
+        rows = "nan,20,0.2,0.2,0.8,0.8\n10,inf,0.2,0.2,0.8,0.8\n1e400,1e400,0.2,0.2,0.8,0.8\n" \
+               "-inf,20,0.2,0.2,0.8,0.8\n10,20,0.2,0.2,0.8,0.8\n"
+        assert ingest(tmp_path, (TRIPS_HEADER + rows).encode()) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["rows,5", "skipped_unparseable,4", "skipped_out_of_range,0",
+                       "outflow_counted,1", "inflow_counted,1"]
+
+    @pytest.mark.parametrize("first", ["10,20,0.2,0.2,0.8,0.8\n", '"10",20,0.2,0.2,0.8,0.8\n'],
+                             ids=["split", "csv module"])
+    def test_field_over_the_csv_limit_exits_2_with_one_line(self, tmp_path, capsys, first):
+        import csv
+
+        long_row = "10,20,0.2,0.2,0.8," + "1" * (csv.field_size_limit() + 1) + "\n"
+        assert ingest(tmp_path, (TRIPS_HEADER + first + long_row).encode()) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "trips.csv: field larger than field limit" in err[0]
+
+    def test_non_utf8_byte_exits_2_with_one_line(self, tmp_path, capsys):
+        trips = TRIPS_HEADER.encode() + b"10,20,0.2,0.2,0.8,0.\xff\n"
+        assert ingest(tmp_path, trips) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "trips.csv: not UTF-8 text" in err[0]
+
+
 class TestTrain:
     def test_train_writes_checkpoint_and_logs(self, synth_data, tiny_config, tmp_path, capsys):
         out = tmp_path / "model.ckpt"

@@ -17,7 +17,7 @@ from mlpst.evaluation import (
     r2,
     rmse,
 )
-from mlpst.griddata import TemporalConfig, fit_norm
+from mlpst.griddata import TemporalConfig, apply_norm, fit_norm, invert_norm
 from mlpst.ingestion import synth
 
 
@@ -166,3 +166,38 @@ class TestEvaluate:
         r1 = evaluate_baseline("havg", data.values, anchors, period=12)
         r2_ = evaluate_baseline("havg", data.values, anchors, period=12)
         assert (r1.mae, r1.rmse, r1.r2) == (r2_.mae, r2_.rmse, r2_.r2)
+
+
+class TestEvaluateAnchors:
+    def setup_method(self):
+        self.data = synth("periodic", 4, 4, steps=60, seed=4, period=12, noise=0.5)
+        self.cfg = small_cfg()
+        self.params = mixer.build_params(self.cfg, 4, 4, 2, seed=1)
+        self.stats = fit_norm(self.data.values[:40])
+
+    @pytest.mark.parametrize("anchors, bad", [
+        ([10, 3, 20], 3),        # its window would start before the series
+        ([-3, 10], -3),          # would wrap to the end of the series
+        ([59, 60], 60),          # its target lies past the series
+    ])
+    def test_anchor_outside_the_series_names_the_first(self, anchors, bad):
+        with pytest.raises(DataError, match=rf"^anchor {bad} is outside \[4, 59\]"):
+            evaluate_model(self.params, self.cfg.temporal, self.data.values, np.array(anchors), self.stats)
+
+    @pytest.mark.parametrize("anchors", [np.arange(4, 60), np.array([50, 20, 33, 20]), np.array([59])])
+    def test_predictions_equal_whole_series_normalisation(self, monkeypatch, anchors):
+        seen = []
+
+        def recording_predict(*args):
+            seen.append(training.predict_batches(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(evaluation, "predict_batches", recording_predict)
+        report = evaluate_model(self.params, self.cfg.temporal, self.data.values, anchors, self.stats,
+                                batch_size=16)
+        want = training.predict_batches(self.params, apply_norm(self.data.values, self.stats),
+                                        anchors, self.cfg.temporal, 16)
+        assert seen[0].tobytes() == want.tobytes()
+        preds = invert_norm(want, self.stats)
+        assert report.mae == mae(preds, self.data.values[anchors])
+        assert report.rmse == rmse(preds, self.data.values[anchors])

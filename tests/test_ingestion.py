@@ -1,5 +1,13 @@
 """Tests for trip aggregation, the STGRID1 format, and synthetic data."""
 
+import csv
+import math
+import random
+import sys
+import tracemalloc
+from datetime import datetime, timezone
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +23,9 @@ from mlpst.ingestion import (
     synth,
     write_dataset,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import inputs  # noqa: E402  (the benchmark's seeded trips generator)
 
 
 def unit_spec(h=2, w=2, intervals=2, interval_seconds=100):
@@ -114,10 +125,10 @@ class TestTripCsv:
             "30,40,0.3,0.1,0.7,0.9\n"
         )
         summary = IngestSummary()
-        records = list(ingestion.read_trips(path, summary))
+        records = np.concatenate(list(ingestion.read_trips(path, summary)))
         assert len(records) == 2
-        assert records[0].pickup_time == 10.0
-        assert records[1].dropoff_time == 40.0
+        assert records[0, 0] == 10.0  # pickup time
+        assert records[1, 1] == 40.0  # dropoff time
 
     def test_unparseable_rows_tallied(self, tmp_path):
         path = tmp_path / "trips.csv"
@@ -161,6 +172,255 @@ class TestTripCsv:
         path.write_text("pickup_datetime,dropoff_datetime\n10,20\n")
         with pytest.raises(DataError, match="pickup_lat"):
             list(ingestion.read_trips(path, IngestSummary()))
+
+
+# ---------------------------------------------------------------------------
+# the per-row reader the columnar one replaced, kept as its reference
+
+
+def ref_parse_trip_row(row: dict) -> TripRecord:
+    record = TripRecord(
+        pickup_time=ingestion.parse_time(row["pickup_datetime"]),
+        dropoff_time=ingestion.parse_time(row["dropoff_datetime"]),
+        pickup_lat=float(row["pickup_lat"]),
+        pickup_lon=float(row["pickup_lon"]),
+        dropoff_lat=float(row["dropoff_lat"]),
+        dropoff_lon=float(row["dropoff_lon"]),
+    )
+    if not all(math.isfinite(v) for v in record[2:]):
+        raise ValueError("coordinates must be finite")
+    if record.dropoff_time < record.pickup_time:
+        raise ValueError("dropoff before pickup")
+    return record
+
+
+def ref_cell_index(x, lo, hi, n):
+    if not lo <= x <= hi:
+        return None
+    f = (x - lo) / (hi - lo) * n
+    idx = math.ceil(f) - 1
+    return min(max(idx, 0), n - 1)
+
+
+def ref_locate(spec, time, lat, lon):
+    if time < spec.t_start:
+        return None
+    t = int((time - spec.t_start) // spec.interval_seconds)
+    if t >= spec.n_intervals:
+        return None
+    r = ref_cell_index(lat, spec.lat_min, spec.lat_max, spec.h)
+    c = ref_cell_index(lon, spec.lon_min, spec.lon_max, spec.w)
+    if r is None or c is None:
+        return None
+    return t, r, c
+
+
+def ref_ingest(path, spec):
+    """Grid values and tallies of ``csv.DictReader`` plus the scalar rules, row by row."""
+    summary = IngestSummary()
+    values = np.zeros((spec.n_intervals, spec.h, spec.w, 2))
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh, restval=""):
+            summary.total_rows += 1
+            try:
+                record = ref_parse_trip_row(row)
+            except (ValueError, KeyError, TypeError):
+                summary.unparseable += 1
+                continue
+            pickup = ref_locate(spec, record.pickup_time, record.pickup_lat, record.pickup_lon)
+            dropoff = ref_locate(spec, record.dropoff_time, record.dropoff_lat, record.dropoff_lon)
+            if pickup is not None:
+                values[(*pickup, 1)] += 1.0
+                summary.outflow_counted += 1
+            if dropoff is not None:
+                values[(*dropoff, 0)] += 1.0
+                summary.inflow_counted += 1
+            if pickup is None and dropoff is None:
+                summary.out_of_range += 1
+    return values, summary
+
+
+def assert_ingests_like_reference(path, spec):
+    values, summary = ref_ingest(path, spec)
+    if summary.outflow_counted == 0 and summary.inflow_counted == 0:
+        with pytest.raises(DataError, match="no usable trip records"):
+            ingestion.ingest_csv(path, spec)
+        return
+    dataset, got = ingestion.ingest_csv(path, spec)
+    assert dataset.values.tobytes() == values.tobytes()
+    assert vars(got) == vars(summary)
+
+
+FUZZ_T0 = 1577836800  # 2020-01-01T00:00:00Z
+FUZZ_SPEC = GridSpec(lat_min=0.0, lat_max=1.0, lon_min=0.0, lon_max=1.0, h=3, w=4,
+                     interval_seconds=3600, t_start=float(FUZZ_T0), t_end=float(FUZZ_T0 + 48 * 3600))
+ODD_TIMES = (
+    " {s} ", "{s}.5", "{s}.0", "0{s}", "{s:016d}", "+{s}", "1_577_836_800", "1e9", "-5",
+    "{iso}+01:00", "{iso}-00:30", "{iso}.25", "{iso}z", "{iso}+0000", "{iso}Z ", "{date}",
+    "2020-02-30T00:00:00", "2020-01-01T24:00:00", "2020-01-01T00:00:60", "0000-01-01T00:00:00",
+    "2020-13-01T00:00:00", "2020-00-10T00:00:00", "2020-01-00T00:00:00", "2020-01-01T00:60:00",
+    "2020-02-29T12:00:00Z", "1900-02-29T00:00:00", "2000-02-29T00:00:00+00:00",
+    "0001-01-01T00:00:00", "9999-12-31T23:59:59", "20200101T000000", "2020-W01-1T00:00:00",
+    "not-a-time", "", "\x00", "{s}\x00", "１５７７",
+)
+ODD_COORDS = (
+    "0", "1", "0.5", "0.25", "0.75", "1.0", "-0.0", " 0.5 ", "0_5", ".5", "5e-1", "0x1p-1",
+    "north", "", "2", "-1", "1e308", "-1e308", "nan", "inf", "-inf", "1e400", "0.3333333333333333",
+)
+
+
+def fuzz_time(rng):
+    s = FUZZ_T0 + rng.choice([rng.randrange(-7200, 50 * 3600), 3600 * rng.randrange(49), -1])
+    iso = datetime.fromtimestamp(s, timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    k = rng.randrange(8)
+    if k < 5:
+        return (str(s), iso, iso + "Z", iso + "+00:00", str(s))[k]
+    return rng.choice(ODD_TIMES).format(s=s, iso=iso, date=iso[:10])
+
+
+def fuzz_csv(rng) -> str:
+    """A small trips CSV mixing every row shape, quoting, line end and time form."""
+    header = list(ingestion.TRIP_COLUMNS)
+    rng.shuffle(header)
+    if rng.random() < 0.3:
+        header.insert(rng.randrange(len(header) + 1), "extra")
+    if rng.random() < 0.2:  # a repeated name reads its last column
+        header.insert(rng.randrange(len(header) + 1), rng.choice(ingestion.TRIP_COLUMNS))
+    quoting = rng.random() < 0.2
+    lines = [",".join(header)]
+    for _ in range(rng.randrange(1, 60)):
+        r = rng.random()
+        if r < 0.04:
+            lines.append("")
+            continue
+        row = [
+            fuzz_time(rng) if name.endswith("datetime")
+            else repr(rng.uniform(-0.2, 1.2)) if name.startswith(("pickup", "dropoff")) and rng.random() < 0.6
+            else rng.choice(ODD_COORDS) if name.startswith(("pickup", "dropoff"))
+            else str(rng.random())
+            for name in header
+        ]
+        if r < 0.08:
+            row = row[: rng.randrange(1, len(row))]
+        elif r < 0.12:
+            row += ["x"] * rng.randrange(1, 3)
+        if quoting:
+            row = ['"' + f + '"' if rng.random() < 0.3 else f for f in row]
+        lines.append(",".join(row))
+    end = "\r\n" if rng.random() < 0.15 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.9 else "")
+
+
+def trips_grid(spec: inputs.TripsSpec) -> GridSpec:
+    """The grid a benchmark-generated trips CSV is aggregated onto."""
+    return GridSpec(lat_min=spec.lat_min, lat_max=spec.lat_max, lon_min=spec.lon_min,
+                    lon_max=spec.lon_max, h=spec.h, w=spec.w, interval_seconds=spec.interval_seconds,
+                    t_start=float(spec.t_start), t_end=float(spec.t_end))
+
+
+class TestColumnarReader:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fuzz_matches_per_row_reference(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "trips.csv"
+        for _ in range(40):
+            path.write_text(fuzz_csv(rng), encoding="utf-8", newline="")
+            assert_ingests_like_reference(path, FUZZ_SPEC)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_fuzz_matches_reference_across_chunk_edges(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(ingestion, "CHUNK_ROWS", chunk)
+        rng = random.Random(100 + chunk)
+        path = tmp_path / "trips.csv"
+        for _ in range(25):
+            path.write_text(fuzz_csv(rng), encoding="utf-8", newline="")
+            assert_ingests_like_reference(path, FUZZ_SPEC)
+
+    def test_bench_generator_matches_reference(self, tmp_path):
+        spec = inputs.TripsSpec()
+        text, expected = inputs.trips_csv(3, 3000, spec)
+        path = tmp_path / "trips.csv"
+        path.write_text(text)
+        gspec = trips_grid(spec)
+        assert_ingests_like_reference(path, gspec)
+        dataset, _ = ingestion.ingest_csv(path, gspec)
+        assert dataset.values.tobytes() == expected.grid.tobytes()
+
+    @pytest.mark.parametrize("small", [True, False], ids=["chunk 16", "chunk constant"])
+    def test_quoted_rows_after_the_first_chunk_read_like_plain_ones(self, tmp_path, monkeypatch, small):
+        if small:
+            monkeypatch.setattr(ingestion, "CHUNK_ROWS", 16)
+        rows = 2 * ingestion.CHUNK_ROWS + 1
+        spec = inputs.TripsSpec(h=4, w=4, n_intervals=24)
+        text, _ = inputs.trips_csv(11, rows, spec)
+        lines = text.splitlines()
+        assert len(lines) == rows + 1  # the header and one line per row
+        quoted = list(lines)
+        for i in range(ingestion.CHUNK_ROWS + 2, rows + 1, 3):
+            quoted[i] = ",".join(f'"{f}"' for f in lines[i].split(","))
+        plain_path, quoted_path, crlf_path = (tmp_path / f"{k}.csv" for k in ("plain", "quoted", "crlf"))
+        plain_path.write_text("\n".join(lines) + "\n")
+        quoted_path.write_text("\n".join(quoted) + "\n")
+        crlf_path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        gspec = trips_grid(spec)
+        plain, plain_summary = ingestion.ingest_csv(plain_path, gspec)
+        for path in (quoted_path, crlf_path):
+            got, summary = ingestion.ingest_csv(path, gspec)
+            assert got.values.tobytes() == plain.values.tobytes()
+            assert vars(summary) == vars(plain_summary)
+        assert_ingests_like_reference(quoted_path, gspec)
+
+    def test_memory_is_bounded_by_the_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingestion, "CHUNK_ROWS", 512)
+        spec = inputs.TripsSpec(h=2, w=2, n_intervals=4)
+        gspec = trips_grid(spec)
+        peaks = []
+        for rows in (4096, 4 * 4096):
+            path = tmp_path / f"trips{rows}.csv"
+            path.write_text(inputs.trips_csv(5, rows, spec)[0])
+            tracemalloc.start()
+            try:
+                ingestion.ingest_csv(path, gspec)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_non_finite_times_are_unparseable(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_text(
+            "pickup_datetime,dropoff_datetime,pickup_lat,pickup_lon,dropoff_lat,dropoff_lon\n"
+            "nan,20,0.2,0.2,0.8,0.8\n"
+            "10,inf,0.2,0.2,0.8,0.8\n"
+            "10,1e400,0.2,0.2,0.8,0.8\n"
+            "-inf,20,0.2,0.2,0.8,0.8\n"  # the dropoff of this row used to count
+            "10,20,0.2,0.2,0.8,0.8\n"
+        )
+        dataset, summary = ingestion.ingest_csv(path, unit_spec())
+        assert (summary.total_rows, summary.unparseable) == (5, 4)
+        assert (summary.outflow_counted, summary.inflow_counted) == (1, 1)
+        assert dataset.values.sum() == 2.0
+
+    def test_repeated_header_name_reads_its_last_column(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_text(
+            "pickup_lat,pickup_datetime,dropoff_datetime,pickup_lat,pickup_lon,dropoff_lat,dropoff_lon\n"
+            "north,10,20,0.2,0.2,0.8,0.8\n"
+        )
+        (block,) = ingestion.read_trips(path, IngestSummary())
+        assert block.tolist() == [[10.0, 20.0, 0.2, 0.2, 0.8, 0.8]]
+
+    @pytest.mark.parametrize("quote", [False, True], ids=["split", "csv module"])
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path, quote):
+        limit = csv.field_size_limit()
+        header = "pickup_datetime,dropoff_datetime,pickup_lat,pickup_lon,dropoff_lat,dropoff_lon\n"
+        first = '"10",20,0.2,0.2,0.8,0.8\n' if quote else "10,20,0.2,0.2,0.8,0.8\n"
+        path = tmp_path / "trips.csv"
+        path.write_text(header + first + "10,20,0.2,0.2,0.8," + "1" * limit + "\n")
+        ingestion.ingest_csv(path, unit_spec())  # a field of exactly the limit is read
+        path.write_text(header + first + "10,20,0.2,0.2,0.8," + "1" * (limit + 1) + "\n")
+        with pytest.raises(DataError, match=rf"trips\.csv: field larger than field limit \({limit}\)$"):
+            ingestion.ingest_csv(path, unit_spec())
 
 
 class TestStgridFormat:
