@@ -10,6 +10,8 @@ The manifest has two sections:
   keys echo the caller's configuration.
 - ``[tensors]``  one ``path<TAB>shape<TAB>offset`` row per parameter path;
   shared parameters repeat their path but point at one payload offset.
+  Offsets count bytes from the payload's start, are nonnegative, and the
+  byte ranges of distinct offsets do not overlap.
 
 Loading parses ``[config]``, builds the zero-filled skeleton that config
 describes (``build_params`` with ``seed=None``) and fills its leaves from the
@@ -26,10 +28,12 @@ rows; they are not trainable parameters and stay outside ``ModelParams``.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import struct
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -160,17 +164,10 @@ def save_checkpoint(
         entries.append(("stats.hi", np.asarray(stats.hi, dtype=np.float64)))
 
     # each distinct array is stored once; shared leaves repeat its offset
-    offsets: dict[int, int] = {}
-    payload = []
-    size = 0
-    rows = []
-    for leaf_path, arr in entries:
-        key = id(arr)
-        if key not in offsets:
-            offsets[key] = size
-            payload.append(arr)
-            size += 8 * arr.size
-        rows.append((leaf_path, arr.shape, offsets[key]))
+    payload = [arr for _, arr in tree.unique_leaves([arr for _, arr in entries])]
+    starts = accumulate((8 * arr.size for arr in payload), initial=0)
+    offsets = {id(arr): start for arr, start in zip(payload, starts)}
+    rows = [(leaf_path, arr.shape, offsets[id(arr)]) for leaf_path, arr in entries]
     _match(expected, rows)
     # the leaves match; the layer counts, sequence lengths and eps must too
     if tree.tree_map(np.shape, params) != tree.tree_map(np.shape, skeleton):
@@ -211,10 +208,25 @@ def _parse_manifest(manifest: str) -> tuple[list[str], list[tuple[str, tuple, in
         try:
             leaf_path, shape_text, offset_text = line.split("\t")
             shape = tuple(int(s) for s in shape_text.split("x")) if shape_text else ()
-            rows.append((leaf_path, shape, int(offset_text)))
+            offset = int(offset_text)
         except ValueError:
             raise FormatError(f"bad [tensors] row {line!r}") from None
+        if offset < 0:
+            raise FormatError(f"bad [tensors] row {line!r}: negative offset")
+        rows.append((leaf_path, shape, offset))
     return sections["[config]"], rows
+
+
+def _payload_end(rows) -> int:
+    """The payload length matched rows need; rows at distinct offsets must not overlap."""
+    end, start, last = 0, None, None
+    for leaf_path, shape, offset in sorted(rows, key=lambda row: row[2]):
+        if offset != start and offset < end:
+            raise FormatError(f"checkpoint tensor {leaf_path} overlaps {last} in the payload")
+        start, stop = offset, offset + 8 * math.prod(shape)
+        if stop > end:
+            end, last = stop, leaf_path
+    return end
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -237,19 +249,13 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(
                 f"truncated manifest: expected {manifest_len} bytes", offset=file_size
             )
-        config_lines, rows = _parse_manifest(fh.read(manifest_len).decode("utf-8"))
-
-        payload_len = file_size - manifest_end
-        needed = 0
-        for _, shape, offset in rows:
-            size = 8 * int(np.prod(shape)) if shape else 8
-            needed = max(needed, offset + size)
-        if payload_len < needed:
+        try:
+            manifest = fh.read(manifest_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
             raise FormatError(
-                f"truncated payload: expected at least {needed} bytes, "
-                f"got {payload_len}",
-                offset=file_size,
-            )
+                "checkpoint manifest is not UTF-8", offset=header_end + exc.start
+            ) from None
+        config_lines, rows = _parse_manifest(manifest)
 
         given = {line.partition("=")[0] for line in config_lines}
         for f in dataclasses.fields(RunConfig):
@@ -260,7 +266,16 @@ def load_checkpoint(path) -> Checkpoint:
             params, stats, expected = _skeleton(cfg, any(row[0] == "stats.lo" for row in rows))
         except ConfigError as exc:
             raise FormatError(f"checkpoint [config]: {exc}") from None
-        for arr, offset in _match(expected, rows):
+        arrays = _match(expected, rows)
+        payload_len = file_size - manifest_end
+        needed = _payload_end(rows)
+        if payload_len < needed:
+            raise FormatError(
+                f"truncated payload: expected at least {needed} bytes, "
+                f"got {payload_len}",
+                offset=file_size,
+            )
+        for arr, offset in arrays:
             fh.seek(manifest_end + offset)
             if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
                 raise FormatError("checkpoint payload changed while it was read", offset=fh.tell())

@@ -33,6 +33,7 @@ import numpy as np
 from . import evaluation, ingestion, mixer, training
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError
+from .fileio import atomic_open
 from .runconfig import RunConfig, TemporalConfig, parse_config_file
 
 
@@ -162,9 +163,9 @@ def cmd_evaluate(args) -> int:
     print(report.csv_row())
     print(report.table())
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(evaluation.CSV_HEADER + "\n")
-            fh.write(report.csv_row() + "\n")
+        with atomic_open(args.report) as fh:
+            fh.write(f"{evaluation.CSV_HEADER}\n".encode())
+            fh.write(f"{report.csv_row()}\n".encode())
     return 0
 
 

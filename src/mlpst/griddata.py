@@ -48,21 +48,6 @@ def patchify(x: Array, patch: int) -> Array:
     return y.reshape(*lead, gh * gw, patch * patch * d)
 
 
-def unpatchify(tokens: Array, h: int, w: int, patch: int, d: int) -> Array:
-    """Exact inverse of :func:`patchify`."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    _check_divides(h, w, patch)
-    gh, gw = h // patch, w // patch
-    *lead, np_, pd = tokens.shape
-    if np_ != gh * gw or pd != patch * patch * d:
-        raise ConfigError(
-            f"token grid {np_}x{pd} does not match H={h}, W={w}, P={patch}, d={d}"
-        )
-    y = tokens.reshape(*lead, gh, gw, patch, patch, d)
-    y = np.swapaxes(y, -4, -3)  # (..., gh, P, gw, P, d)
-    return y.reshape(*lead, h, w, d)
-
-
 # ---------------------------------------------------------------------------
 # temporal dependency slicing
 

@@ -27,7 +27,6 @@ import struct
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, compress, islice
-from typing import NamedTuple
 
 import numpy as np
 
@@ -53,17 +52,6 @@ TRIP_COLUMNS = (
 )
 
 
-class TripRecord(NamedTuple):
-    """One trip, its fields in ``TRIP_COLUMNS`` order."""
-
-    pickup_time: float
-    dropoff_time: float
-    pickup_lat: float
-    pickup_lon: float
-    dropoff_lat: float
-    dropoff_lon: float
-
-
 @dataclass
 class GridSpec:
     """Spatial box, grid resolution and time range for aggregation."""
@@ -79,6 +67,10 @@ class GridSpec:
     t_end: float
 
     def validate(self) -> None:
+        for name in ("lat_min", "lat_max", "lon_min", "lon_max", "t_start", "t_end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"spec field {name!r} must be finite, got {value}")
         if not (self.lat_max > self.lat_min and self.lon_max > self.lon_min):
             raise ConfigError("bounding box must be nondegenerate")
         if self.h < 1 or self.w < 1:
@@ -334,8 +326,8 @@ def aggregate(blocks, spec: GridSpec, summary: IngestSummary | None = None
               ) -> tuple[GridDataset, IngestSummary]:
     """Fold trips into inflow/outflow grid maps.
 
-    ``blocks`` yields ``(n, 6)`` arrays in ``TRIP_COLUMNS`` order, as
-    :func:`read_trips` does; a :class:`TripRecord` is a one-row block.
+    ``blocks`` yields ``(n, 6)`` float64 arrays in ``TRIP_COLUMNS`` order,
+    as :func:`read_trips` does.
     """
     spec.validate()
     if summary is None:
@@ -343,7 +335,6 @@ def aggregate(blocks, spec: GridSpec, summary: IngestSummary | None = None
     values = np.zeros((spec.n_intervals, spec.h, spec.w, 2))
     flat = values.reshape(-1)
     for block in blocks:
-        block = np.asarray(block, dtype=np.float64).reshape(-1, len(TRIP_COLUMNS))
         pickup, pick_in = _cells(spec, block[:, 0], block[:, 2], block[:, 3])
         dropoff, drop_in = _cells(spec, block[:, 1], block[:, 4], block[:, 5])
         # channel 0 counts dropoffs (inflow), channel 1 pickups (outflow)

@@ -268,23 +268,10 @@ def mixer_layer_bwd(
     """Accumulate parameter gradients into ``grads`` and return dv."""
     du, g_ch, g_lnc = mlp_block_bwd(grad_y, cache.channel, p.channel_mlp, p.ln_channels)
     dv, g_tok, g_lnt = token_mixing_bwd(du, cache.token, p.token_mlp, p.ln_tokens)
-    _acc_mlp(grads.channel_mlp, g_ch)
-    _acc_ln(grads.ln_channels, g_lnc)
-    _acc_mlp(grads.token_mlp, g_tok)
-    _acc_ln(grads.ln_tokens, g_lnt)
+    step = MixerLayerParams(token_mlp=g_tok, channel_mlp=g_ch, ln_tokens=g_lnt, ln_channels=g_lnc)
+    for (_, acc), (_, g) in zip(tree.iter_leaves(grads), tree.iter_leaves(step), strict=True):
+        acc += g
     return dv
-
-
-def _acc_mlp(acc: MlpBlockParams, g: MlpBlockParams) -> None:
-    acc.w_in += g.w_in
-    acc.b_in += g.b_in
-    acc.w_out += g.w_out
-    acc.b_out += g.b_out
-
-
-def _acc_ln(acc: LayerNormParams, g: LayerNormParams) -> None:
-    acc.gamma += g.gamma
-    acc.beta += g.beta
 
 
 def _stack_layer(layers: list[MixerLayerParams], i: int) -> MixerLayerParams:
@@ -367,30 +354,26 @@ def spatial_mixer_bwd(
 # temporal mixer
 
 
-class TemporalCache(NamedTuple):
-    layer_caches: list[MixerLayerCache]
-
-
 def temporal_mixer_fwd(
     e_seq: Array, p: TemporalMixerParams, keep_cache: bool = True
-) -> tuple[Array, TemporalCache | None]:
+) -> tuple[Array, list[MixerLayerCache] | None]:
     """Mix a branch sequence ``(..., len, d_T)``; shape preserved.
 
-    The cache is ``None`` when ``keep_cache`` is false.
+    The cache is the stack's per-layer caches, or ``None`` when
+    ``keep_cache`` is false.
     """
     if e_seq.shape[-2] != p.seq_len:
         raise ConfigError(
             f"temporal sequence length {e_seq.shape[-2]} does not match the "
             f"configured length {p.seq_len}"
         )
-    y, caches = mixer_stack_fwd(e_seq, p.layers, p.n_layers, keep_cache)
-    return y, (TemporalCache(layer_caches=caches) if keep_cache else None)
+    return mixer_stack_fwd(e_seq, p.layers, p.n_layers, keep_cache)
 
 
 def temporal_mixer_bwd(
-    grad: Array, cache: TemporalCache, p: TemporalMixerParams, grads: TemporalMixerParams
+    grad: Array, cache: list[MixerLayerCache], p: TemporalMixerParams, grads: TemporalMixerParams
 ) -> Array:
-    return mixer_stack_bwd(grad, cache.layer_caches, p.layers, p.n_layers, grads.layers)
+    return mixer_stack_bwd(grad, cache, p.layers, p.n_layers, grads.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +424,7 @@ class ModelCache(NamedTuple):
     spatial: SpatialCache  # over the batch's distinct frames only
     inverse: Array         # (B, L): window frame -> row of the distinct frames
     n_frames: int          # U, the number of distinct frames
-    temporal: tuple[TemporalCache | None, TemporalCache | None, TemporalCache | None]
+    temporal: tuple[list[MixerLayerCache] | None, ...]  # per branch
     branch_last: tuple[Array | None, Array | None, Array | None]
     e_hat: Array
     batch: int
@@ -501,7 +484,7 @@ def batch_forward(
     t, p, _ = lengths
     branch_seqs = (e_all[:, :t], e_all[:, t : t + p], e_all[:, t + p :])
     mixed: list[Array | None] = []
-    temporal_caches: list[TemporalCache | None] = []
+    temporal_caches: list[list[MixerLayerCache] | None] = []
     for e_seq, bp in zip(branch_seqs, _branch_params(params)):
         if e_seq.shape[1] == 0:
             mixed.append(None)
@@ -555,7 +538,6 @@ def batch_backward(cache: ModelCache, grad_pred: Array, params: ModelParams) -> 
         zip(cache.lengths, _branch_params(params), _branch_params(grads), cache.temporal)
     ):
         if length == 0:
-            branch_grads.append(np.zeros((cache.batch, 0, d_t)))
             continue
         last = cache.branch_last[i]
         gw = grad_weights[i]
@@ -567,27 +549,10 @@ def batch_backward(cache: ModelCache, grad_pred: Array, params: ModelParams) -> 
         branch_grads.append(g_seq)
 
     g_e_all = np.concatenate(branch_grads, axis=1).reshape(-1, d_t)
-    g_frames = sum_rows(g_e_all, cache.inverse.reshape(-1), cache.n_frames)  # (U, d_T)
+    g_frames = np.zeros((cache.n_frames, d_t))
+    np.add.at(g_frames, cache.inverse.reshape(-1), g_e_all)  # each frame sums its positions
     spatial_mixer_bwd(g_frames, cache.spatial, params.spatial, grads.spatial)
     return grads
-
-
-def sum_rows(values: Array, rows: Array, n_rows: int) -> Array:
-    """``out[r] = sum of values[i] with rows[i] == r``, added in order of ``i``.
-
-    Equal to ``np.add.at`` into zeros, bit for bit. The ``k``-th occurrences
-    of all rows are added in one indexed add (their rows are distinct), for
-    ``k`` = 0, 1, ... in turn.
-    """
-    order = np.argsort(rows, kind="stable")
-    first = np.diff(rows[order], prepend=-1) != 0  # a row's first sorted slot
-    rank = np.empty_like(rows)  # how many earlier entries share the row
-    rank[order] = np.arange(len(rows)) - np.flatnonzero(first)[np.cumsum(first) - 1]
-    out = np.zeros((n_rows, values.shape[-1]))
-    for k in range(int(rank.max(initial=-1)) + 1):
-        sel = np.flatnonzero(rank == k)
-        out[rows[sel]] += values[sel]
-    return out
 
 
 def model_forward(

@@ -67,34 +67,35 @@ def tree_map(fn: Callable[..., np.ndarray], tree: Any, *rest: Any) -> Any:
     ``tree``; shared leaves map to one shared result. Non-array dataclass
     fields are copied from ``tree``.
     """
-    memo: dict[int, Any] = {}
+    return _map(fn, tree, list(rest), {})
 
-    def go(node, others):
-        if node is None:
-            return None
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, np.ndarray):
-            result = fn(node, *others)
-        elif dataclasses.is_dataclass(node):
-            kwargs = {}
-            for f in dataclasses.fields(node):
-                value = getattr(node, f.name)
-                if _is_node(value) or value is None:
-                    kwargs[f.name] = go(value, [getattr(o, f.name) for o in others])
-                else:
-                    kwargs[f.name] = value
-            result = type(node)(**kwargs)
-        elif isinstance(node, (list, tuple)):
-            items = [go(v, [o[i] for o in others]) for i, v in enumerate(node)]
-            result = type(node)(items) if isinstance(node, tuple) else items
-        else:
-            result = node
-        memo[key] = result
-        return result
 
-    return go(tree, list(rest))
+def _map(fn, node, others: list, memo: dict[int, Any]) -> Any:
+    # not a closure: a recursive closure over ``memo`` is a reference cycle,
+    # which keeps every mapped array alive until the cycle collector runs
+    if node is None:
+        return None
+    key = id(node)
+    if key in memo:
+        return memo[key]
+    if isinstance(node, np.ndarray):
+        result = fn(node, *others)
+    elif dataclasses.is_dataclass(node):
+        kwargs = {}
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            if _is_node(value) or value is None:
+                kwargs[f.name] = _map(fn, value, [getattr(o, f.name) for o in others], memo)
+            else:
+                kwargs[f.name] = value
+        result = type(node)(**kwargs)
+    elif isinstance(node, (list, tuple)):
+        items = [_map(fn, v, [o[i] for o in others], memo) for i, v in enumerate(node)]
+        result = type(node)(items) if isinstance(node, tuple) else items
+    else:
+        result = node
+    memo[key] = result
+    return result
 
 
 def tree_zeros_like(tree: Any) -> Any:

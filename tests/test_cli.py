@@ -114,12 +114,22 @@ UNIT_SPEC = {"lat_min": 0.0, "lat_max": 1.0, "lon_min": 0.0, "lon_max": 1.0,
              "h": 2, "w": 2, "interval_seconds": 100, "t_start": 0, "t_end": 200}
 
 
-def ingest(tmp_path, trips: bytes):
+def ingest(tmp_path, trips: bytes, spec_fields=UNIT_SPEC):
     path = tmp_path / "trips.csv"
     path.write_bytes(trips)
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(UNIT_SPEC))
+    spec.write_text(json.dumps(spec_fields))
     return run(["ingest", "--trips", str(path), "--spec", str(spec), "--out", str(tmp_path / "o.stgrid")])
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", ["lat_min", "lat_max", "lon_min", "lon_max", "t_start", "t_end"])
+def test_non_finite_spec_field_exits_3_naming_it(tmp_path, capsys, field, value):
+    trips = (TRIPS_HEADER + "10,20,0.2,0.2,0.8,0.8\n").encode()
+    assert ingest(tmp_path, trips, {**UNIT_SPEC, field: value}) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: spec field '{field}' must be finite, got {value}"]
+    assert not (tmp_path / "o.stgrid").exists()
 
 
 class TestIngestBadRows:
@@ -222,6 +232,28 @@ class TestEvaluatePredictInspect:
         assert "channel_0" in out
         body = report.read_text().splitlines()
         assert len(body) == 2
+
+    def test_failed_report_write_keeps_old_report(self, synth_data, tmp_path, monkeypatch):
+        from mlpst import evaluation
+
+        report = tmp_path / "report.csv"
+        report.write_text("old report\n")
+        csv_row = evaluation.EvalReport.csv_row
+        failed = []
+
+        def failing_csv_row(self):
+            # fail while the new report's temporary file is open, after its header
+            if list(tmp_path.glob("report.csv.*")):
+                failed.append(True)
+                raise OSError("No space left on device")
+            return csv_row(self)
+
+        monkeypatch.setattr(evaluation.EvalReport, "csv_row", failing_csv_row)
+        assert run(["evaluate", "--data", str(synth_data), "--baseline", "persistence",
+                    "--report", str(report)]) == 2
+        assert failed
+        assert report.read_text() == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [synth_data.name, "report.csv"]
 
     def test_evaluate_baseline_needs_no_checkpoint(self, synth_data, capsys):
         assert run(["evaluate", "--data", str(synth_data), "--baseline", "persistence"]) == 0

@@ -61,33 +61,6 @@ class TestPatchify:
         np.testing.assert_array_equal(tokens[1, 2], griddata.patchify(x[1, 2], 2))
 
 
-class TestUnpatchify:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_round_trip(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(6, 4, 2))
-        tokens = griddata.patchify(x, 2)
-        back = griddata.unpatchify(tokens, 6, 4, 2, 2)
-        np.testing.assert_array_equal(back, x)
-
-    def test_single_patch_reshape(self):
-        tokens = np.arange(18.0).reshape(1, 18)
-        x = griddata.unpatchify(tokens, 3, 3, 3, 2)
-        np.testing.assert_array_equal(x, tokens.reshape(3, 3, 2))
-
-    def test_hand_case_inverts(self):
-        tokens = np.array(
-            [[0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]],
-            dtype=float,
-        )
-        x = griddata.unpatchify(tokens, 4, 4, 2, 1)
-        np.testing.assert_array_equal(x, np.arange(16.0).reshape(4, 4, 1))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigError):
-            griddata.unpatchify(np.zeros((4, 8)), 4, 4, 2, 1)
-
-
 def _steps(n, h=1, w=1, d=1):
     """History stack whose map at index i holds the value i everywhere."""
     return np.arange(n, dtype=float).reshape(n, 1, 1, 1) * np.ones((n, h, w, d))

@@ -17,7 +17,6 @@ from mlpst.ingestion import (
     GridDataset,
     GridSpec,
     IngestSummary,
-    TripRecord,
     aggregate,
     read_dataset,
     synth,
@@ -37,7 +36,8 @@ def unit_spec(h=2, w=2, intervals=2, interval_seconds=100):
 
 
 def trip(pt, dt, plat, plon, dlat, dlon):
-    return TripRecord(pt, dt, plat, plon, dlat, dlon)
+    """One trip as the one-row ``(1, 6)`` block ``aggregate`` reads."""
+    return np.array([[pt, dt, plat, plon, dlat, dlon]], dtype=np.float64)
 
 
 class TestAggregate:
@@ -178,20 +178,22 @@ class TestTripCsv:
 # the per-row reader the columnar one replaced, kept as its reference
 
 
-def ref_parse_trip_row(row: dict) -> TripRecord:
-    record = TripRecord(
-        pickup_time=ingestion.parse_time(row["pickup_datetime"]),
-        dropoff_time=ingestion.parse_time(row["dropoff_datetime"]),
-        pickup_lat=float(row["pickup_lat"]),
-        pickup_lon=float(row["pickup_lon"]),
-        dropoff_lat=float(row["dropoff_lat"]),
-        dropoff_lon=float(row["dropoff_lon"]),
+def ref_parse_trip_row(row: dict) -> np.ndarray:
+    """One parsed row as a ``(1, 6)`` block in ``TRIP_COLUMNS`` order."""
+    block = trip(
+        ingestion.parse_time(row["pickup_datetime"]),
+        ingestion.parse_time(row["dropoff_datetime"]),
+        float(row["pickup_lat"]),
+        float(row["pickup_lon"]),
+        float(row["dropoff_lat"]),
+        float(row["dropoff_lon"]),
     )
-    if not all(math.isfinite(v) for v in record[2:]):
+    pickup_time, dropoff_time, *coords = block[0].tolist()
+    if not all(math.isfinite(v) for v in coords):
         raise ValueError("coordinates must be finite")
-    if record.dropoff_time < record.pickup_time:
+    if dropoff_time < pickup_time:
         raise ValueError("dropoff before pickup")
-    return record
+    return block
 
 
 def ref_cell_index(x, lo, hi, n):
@@ -223,12 +225,13 @@ def ref_ingest(path, spec):
         for row in csv.DictReader(fh, restval=""):
             summary.total_rows += 1
             try:
-                record = ref_parse_trip_row(row)
+                block = ref_parse_trip_row(row)
             except (ValueError, KeyError, TypeError):
                 summary.unparseable += 1
                 continue
-            pickup = ref_locate(spec, record.pickup_time, record.pickup_lat, record.pickup_lon)
-            dropoff = ref_locate(spec, record.dropoff_time, record.dropoff_lat, record.dropoff_lon)
+            pickup_time, dropoff_time, plat, plon, dlat, dlon = block[0].tolist()
+            pickup = ref_locate(spec, pickup_time, plat, plon)
+            dropoff = ref_locate(spec, dropoff_time, dlat, dlon)
             if pickup is not None:
                 values[(*pickup, 1)] += 1.0
                 summary.outflow_counted += 1

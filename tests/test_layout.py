@@ -1,9 +1,12 @@
-"""Module boundaries: no package module uses another module's private names."""
+"""Module boundaries: no package module uses another module's private names,
+and every function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mlpst"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mlpst"
 MODULES = {path.stem for path in SRC.glob("*.py")}
 
 
@@ -28,3 +31,23 @@ def private_uses(path: Path) -> list[str]:
 
 def test_no_module_uses_another_modules_private_names():
     assert [use for path in sorted(SRC.glob("*.py")) for use in private_uses(path)] == []
+
+
+def traced_names() -> dict[str, tuple[str, ...]]:
+    """``TRACED`` of ``bench/tracer.py``, read without importing the benchmark."""
+    for node in ast.parse((ROOT / "bench" / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "TRACED" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py assigns no TRACED")
+
+
+def test_every_traced_function_exists():
+    # the tracer skips a missing name without a word, and its per-layer metric reads 0
+    traced = traced_names()
+    missing = [
+        f"{module}.{name}" for module, names in traced.items() for name in names
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == [] and sum(map(len, traced.values())) > 0

@@ -1,6 +1,8 @@
 """Tests for the mixer model: layers, stacks, fusion, head, full fwd/bwd."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -561,34 +563,32 @@ class TestFrameMerge:
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max(), path
 
     def test_frame_gradients_sum_like_add_at(self, monkeypatch):
-        seen = []
-        real = mixer.sum_rows
+        """A frame's gradient is its window positions' gradients added in order."""
+        branch_grads, frame_grads = [], []
+        temporal_bwd, spatial_bwd = mixer.temporal_mixer_bwd, mixer.spatial_mixer_bwd
 
-        def spy(values, rows, n_rows):
-            out = real(values, rows, n_rows)
-            seen.append((values, rows, n_rows, out))
-            return out
+        def temporal_spy(*args):
+            branch_grads.append(temporal_bwd(*args))
+            return branch_grads[-1]
 
-        monkeypatch.setattr(mixer, "sum_rows", spy)
+        def spatial_spy(grad_e, *args):
+            frame_grads.append(grad_e)
+            return spatial_bwd(grad_e, *args)
+
+        monkeypatch.setattr(mixer, "temporal_mixer_bwd", temporal_spy)
+        monkeypatch.setattr(mixer, "spatial_mixer_bwd", spatial_spy)
         params, branch_maps, rng = self._batch(self.ANCHORS)
         pred, cache = mixer.batch_forward(branch_maps, params)
         mixer.batch_backward(cache, rng.normal(size=pred.shape), params)
-        (values, rows, n_rows, g_frames), = seen
-        assert n_rows == cache.n_frames and len(rows) == values.shape[0] == 36
-        want = np.zeros((n_rows, values.shape[1]))
-        np.add.at(want, rows, values)
+        (g_frames,) = frame_grads
+        positions = np.concatenate(branch_grads, axis=1).reshape(-1, g_frames.shape[1])
+        rows = cache.inverse.reshape(-1)
+        assert g_frames.shape[0] == cache.n_frames and len(rows) == len(positions) == 36
+        want = np.zeros_like(g_frames)
+        for row, g in zip(rows, positions):
+            want[row] += g
         np.testing.assert_array_equal(g_frames, want)
-
-    @pytest.mark.parametrize("n, n_rows", [(0, 3), (1, 1), (40, 7), (500, 60)])
-    def test_sum_rows_bitwise_add_at(self, n, n_rows):
-        rng = np.random.default_rng(n)
-        rows = rng.integers(0, n_rows, size=n)
-        values = rng.normal(scale=10.0, size=(n, 5)) * rng.uniform(1e-8, 1.0, size=(n, 1))
-        want = np.zeros((n_rows, 5))
-        np.add.at(want, rows, values)
-        got = mixer.sum_rows(values, rows, n_rows)
-        np.testing.assert_array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(np.signbit(g_frames), np.signbit(want))
 
     def test_spatial_multiplies_follow_distinct_frames(self, monkeypatch):
         counts = {}
@@ -825,3 +825,16 @@ class TestTreeUtils:
         all_paths = list(tree.iter_leaves(params))
         unique = tree.unique_leaves(params)
         assert len(unique) < len(all_paths)
+
+    def test_mapped_tree_is_freed_once_dropped(self):
+        # without the cycle collector: a mapped tree that a reference cycle
+        # kept alive would hold a parameter-sized copy until the next collection
+        params = mixer.build_params(small_config(), 4, 4, 2, seed=0)
+        gc.disable()
+        try:
+            copied = tree.tree_copy(params)
+            leaves = [weakref.ref(arr) for _, arr in tree.iter_leaves(copied)]
+            del copied
+            assert [ref for ref in leaves if ref() is not None] == []
+        finally:
+            gc.enable()
