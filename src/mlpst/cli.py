@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 import traceback
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from . import evaluation, ingestion, mixer, training
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError
 from .fileio import atomic_open
-from .runconfig import RunConfig, TemporalConfig, parse_config_file
+from .runconfig import RunConfig, TemporalConfig, parse_config_file, read_config_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,10 +45,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_gridspec(path) -> ingestion.GridSpec:
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = json.loads(read_config_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad spec JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: spec JSON must be an object, got {json.dumps(data)[:40]}")
     fields = {
         "lat_min": float, "lat_max": float, "lon_min": float, "lon_max": float,
         "h": int, "w": int, "interval_seconds": int,
@@ -100,14 +102,15 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     cfg = cfg.resolve_grid(dataset.h, dataset.w, dataset.d)
 
-    log_fh = open(args.log, "w") if args.log else None
+    # the log replaces the old file only when the run succeeds; every line
+    # is printed as it comes, so a failed run's lines are not lost
+    with atomic_open(args.log) if args.log else nullcontext() as log_fh:
 
-    def log(line: str) -> None:
-        print(line)
-        if log_fh:
-            log_fh.write(line + "\n")
+        def log(line: str) -> None:
+            print(line)
+            if log_fh:
+                log_fh.write(f"{line}\n".encode())
 
-    try:
         result = training.train(
             dataset.values,
             cfg.model_config(),
@@ -117,9 +120,6 @@ def cmd_train(args) -> int:
             config_text=cfg.to_text(),
             log=log,
         )
-    finally:
-        if log_fh:
-            log_fh.close()
     print(f"best_epoch,{result.best_epoch}")
     print(f"best_val_mae,{result.best_val_mae!r}")
     return 0

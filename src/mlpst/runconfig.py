@@ -299,6 +299,15 @@ def parse_config_text(text: str) -> RunConfig:
     return cfg
 
 
+def read_config_text(path) -> str:
+    """A configuration file's text, decoded as UTF-8; other bytes are a ConfigError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (at byte {exc.start})") from None
+
+
 def parse_config_file(path) -> RunConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(read_config_text(path))

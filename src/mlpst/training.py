@@ -64,45 +64,40 @@ def loss(pred: Array, target: Array, cfg: LossConfig) -> tuple[float, Array]:
 # Adam
 
 
+# Kingma & Ba's defaults (arXiv:1412.6980); the paper sets only the learning rate
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: ModelParams
     v: ModelParams
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
 
 
-def adam_init(params: ModelParams, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        m=tree.tree_zeros_like(params),
-        v=tree.tree_zeros_like(params),
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-    )
+def adam_init(params: ModelParams, lr: float = 1e-3) -> AdamState:
+    return AdamState(m=tree.tree_zeros_like(params), v=tree.tree_zeros_like(params), lr=lr)
 
 
-def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> ModelParams:
-    """One bias-corrected Adam update; moments update in place, params are new.
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None:
+    """One bias-corrected Adam update of ``params`` and the moments, in place.
 
     Shared parameter arrays are updated exactly once (their gradients were
     already accumulated across all paths that reach them).
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
-
-    def update(p, g, m, v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        return p - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-
-    return tree.tree_map(update, params, grads, state.m, state.v)
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
+    leaves = (tree.unique_leaves(t) for t in (params, grads, state.m, state.v))
+    for (_, p), (_, g), (_, m), (_, v) in zip(*leaves, strict=True):
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +254,7 @@ def train(
             pred, cache = batch_forward(branch_maps, params)
             value, grad_pred = loss(pred, targets, loss_cfg)
             grads = batch_backward(cache, grad_pred, params)
-            params = adam_step(params, grads, adam)
+            adam_step(params, grads, adam)
             batch_losses.append(value)
         train_loss = float(np.mean(batch_losses))
 

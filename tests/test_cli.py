@@ -132,6 +132,41 @@ def test_non_finite_spec_field_exits_3_naming_it(tmp_path, capsys, field, value)
     assert not (tmp_path / "o.stgrid").exists()
 
 
+def malformed_file_argv(tmp_path, synth_data, command, path):
+    out = tmp_path / "out"
+    return {
+        "ingest": ["ingest", "--trips", str(tmp_path / "trips.csv"), "--spec", str(path),
+                   "--out", str(out)],
+        "train": ["train", "--data", str(synth_data), "--config", str(path), "--out", str(out)],
+        "inspect": ["inspect", "--config", str(path)],
+        "evaluate": ["evaluate", "--data", str(synth_data), "--baseline", "persistence",
+                     "--config", str(path), "--report", str(out)],
+    }[command]
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("ingest", b"5", "spec JSON must be an object, got 5"),
+    ("ingest", b"null", "spec JSON must be an object, got null"),
+    ("ingest", b"[]", "spec JSON must be an object, got []"),
+    ("ingest", b'{"lat_min": 0.\xff}', "not UTF-8 text (at byte 14)"),
+    ("train", b"patch = 2\n\xff\n", "not UTF-8 text (at byte 10)"),
+    ("inspect", b"patch = 2\n\xff\n", "not UTF-8 text (at byte 10)"),
+    ("evaluate", b"patch = 2\n\xff\n", "not UTF-8 text (at byte 10)"),
+], ids=["spec 5", "spec null", "spec []", "spec 0xff", "train 0xff", "inspect 0xff",
+        "evaluate 0xff"])
+def test_malformed_spec_or_config_exits_3_with_one_line(
+    tmp_path, synth_data, capsys, command, content, message
+):
+    (tmp_path / "trips.csv").write_text(TRIPS_HEADER + "10,20,0.2,0.2,0.8,0.8\n")
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    assert run(malformed_file_argv(tmp_path, synth_data, command, path)) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {path}: {message}"]
+    assert "epoch," not in captured.out
+    assert not list(tmp_path.glob("out*"))
+
+
 class TestIngestBadRows:
     def test_non_finite_times_are_tallied_unparseable(self, tmp_path, capsys):
         rows = "nan,20,0.2,0.2,0.8,0.8\n10,inf,0.2,0.2,0.8,0.8\n1e400,1e400,0.2,0.2,0.8,0.8\n" \
@@ -171,6 +206,28 @@ class TestTrain:
         assert "best_val_mae," in stdout
         lines = log.read_text().splitlines()
         assert lines and all(line.startswith("epoch,") for line in lines)
+
+    def test_log_equals_the_printed_epoch_lines(self, synth_data, tiny_config, tmp_path,
+                                                 capsys):
+        log = tmp_path / "epochs.log"
+        assert run(["train", "--data", str(synth_data), "--config", str(tiny_config),
+                    "--out", str(tmp_path / "m.ckpt"), "--log", str(log)]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("epoch,")]
+        assert printed and log.read_bytes() == "".join(f"{line}\n" for line in printed).encode()
+
+    def test_failed_run_keeps_the_old_log(self, synth_data, tiny_config, tmp_path):
+        cfg = tmp_path / "huge_lr.cfg"
+        cfg.write_text(tiny_config.read_text().replace("lr = 0.003", "lr = 1e300"))
+        log = tmp_path / "epochs.log"
+        old = b"epoch,1,train_loss,0.5,val_mae,0.25\nepoch,2,train_loss,0.4,val_mae,0.2\n"
+        log.write_bytes(old)
+        with np.errstate(all="ignore"):
+            code = run(["train", "--data", str(synth_data), "--config", str(cfg),
+                        "--out", str(tmp_path / "m.ckpt"), "--log", str(log)])
+        assert code == 2
+        assert log.read_bytes() == old
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_window_constraint_violation_exits_3(self, synth_data, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,8 +1,10 @@
 """Module boundaries: no package module uses another module's private names,
-and every function the benchmark's tracer wraps exists."""
+every function the benchmark's tracer wraps exists, and the arguments it
+reads are where it reads them."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,3 +53,43 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == [] and sum(map(len, traced.values())) > 0
+
+
+# the positional arguments that bench/tracer.py reads by index, by name: a
+# reordering would skew a per-layer metric and fail nothing else
+TRACER_ARGS = {
+    "mixer.batch_forward": {1: "params"},
+    "mixer.batch_backward": {2: "params"},
+    "mixer.spatial_mixer_fwd": {0: "x"},
+    "mixer.temporal_mixer_fwd": {1: "p"},
+    "mixer.temporal_mixer_bwd": {2: "p"},
+    "training.gather_windows": {1: "anchors", 2: "cfg"},
+    "griddata.slice_dependencies": {0: "history", 1: "cfg"},
+    "training.predict_batches": {2: "anchors"},
+    "checkpoint.save_checkpoint": {0: "path"},
+}
+
+
+def tracer_arg_reads() -> dict[str, set[int]]:
+    """``name -> {i}`` for each ``args[i]`` under ``if name == "<name>"`` in bench/tracer.py."""
+    reads: dict[str, set[int]] = {}
+    for node in ast.walk(ast.parse((ROOT / "bench" / "tracer.py").read_text())):
+        if not (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and isinstance(node.test.left, ast.Name) and node.test.left.id == "name"):
+            continue
+        name = node.test.comparators[0].value
+        for stmt in node.body:
+            for sub in ast.walk(stmt):
+                if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "args"):
+                    reads.setdefault(name, set()).add(sub.slice.value)
+    return reads
+
+
+def test_tracer_reads_the_arguments_it_expects():
+    assert tracer_arg_reads() == {name: set(pins) for name, pins in TRACER_ARGS.items()}
+    for name, pins in TRACER_ARGS.items():
+        module, _, fname = name.partition(".")
+        fn = getattr(importlib.import_module(f"mlpst.{module}"), fname)
+        params = list(inspect.signature(fn).parameters)
+        assert {i: params[i] for i in pins} == pins, name

@@ -10,7 +10,7 @@ import pytest
 from mlpst import checkpoint, mixer, training, tree
 from mlpst.errors import ConfigError, DataError
 from mlpst.gradcheck import central_diff, rel_errors
-from mlpst.griddata import TemporalConfig, slice_dependencies
+from mlpst.griddata import TemporalConfig, apply_norm, invert_norm, slice_dependencies
 from mlpst.ingestion import synth
 from mlpst.training import (
     AdamState,
@@ -87,19 +87,46 @@ class _Scalar:
     w: np.ndarray
 
 
+def ref_adam_step(params, grads, state):
+    """The out-of-place update: moments in place, a new parameter tree returned."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    state.step += 1
+    bc1 = 1.0 - b1 ** state.step
+    bc2 = 1.0 - b2 ** state.step
+
+    def update(p, g, m, v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        return p - state.lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+    return tree.tree_map(update, params, grads, state.m, state.v)
+
+
+def small_params(**kw):
+    cfg = mixer.ModelConfig(
+        temporal=TemporalConfig(trend=2, period=2, closeness=2,
+                                trend_interval=4, period_interval=2,
+                                closeness_interval=1),
+        patch=2, channels_spatial=4, channels_temporal=4, expansion=4, **kw,
+    )
+    return mixer.build_params(cfg, 4, 4, 2, seed=0)
+
+
 class TestAdam:
     def test_zero_grads_leave_params(self):
         p = _Scalar(w=np.array([1.5, -2.0]))
         state = adam_init(p)
-        new = adam_step(p, _Scalar(w=np.zeros(2)), state)
-        np.testing.assert_array_equal(new.w, p.w)
+        adam_step(p, _Scalar(w=np.zeros(2)), state)
+        np.testing.assert_array_equal(p.w, [1.5, -2.0])
         assert state.step == 1
 
     def test_first_step_moves_by_lr(self):
         p = _Scalar(w=np.array([0.0]))
         state = adam_init(p, lr=1e-3)
-        new = adam_step(p, _Scalar(w=np.array([1.0])), state)
-        assert new.w[0] == pytest.approx(-1e-3, rel=1e-6)
+        adam_step(p, _Scalar(w=np.array([1.0])), state)
+        assert p.w[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_two_equal_grad_steps_hand_trace(self):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
@@ -117,41 +144,49 @@ class TestAdam:
 
         p = _Scalar(w=np.array([w]))
         state = adam_init(p, lr=lr)
-        p = adam_step(p, _Scalar(w=np.array([g])), state)
-        p = adam_step(p, _Scalar(w=np.array([g])), state)
+        adam_step(p, _Scalar(w=np.array([g])), state)
+        adam_step(p, _Scalar(w=np.array([g])), state)
         assert p.w[0] == pytest.approx(expected, abs=1e-15)
 
-    def test_shapes_preserved(self):
-        cfg = mixer.ModelConfig(
-            temporal=TemporalConfig(trend=2, period=2, closeness=2,
-                                    trend_interval=4, period_interval=2,
-                                    closeness_interval=1),
-            patch=2, channels_spatial=4, channels_temporal=4, expansion=4, n_layers=1,
-        )
-        params = mixer.build_params(cfg, 4, 4, 2, seed=0)
-        grads = tree.tree_zeros_like(params)
-        state = adam_init(params)
-        new = adam_step(params, grads, state)
-        for (_, a), (_, b) in zip(tree.iter_leaves(params), tree.iter_leaves(new)):
-            assert a.shape == b.shape
+    def test_updates_in_place_keeping_every_leaf(self):
+        params = small_params(n_layers=1)
+        before = [(path, id(a), a.shape, a.copy()) for path, a in tree.iter_leaves(params)]
+        grads = tree.tree_map(np.ones_like, params)
+        assert adam_step(params, grads, adam_init(params)) is None
+        after = list(tree.iter_leaves(params))
+        assert [(path, id(a), a.shape) for path, a in after] == [b[:3] for b in before]
+        assert all(not np.array_equal(a, b[3]) for (_, a), b in zip(after, before))
+
+    @pytest.mark.parametrize("share_layers", [True, False])
+    @pytest.mark.parametrize("share_branches", [True, False])
+    def test_equals_out_of_place_update_bitwise(self, share_layers, share_branches):
+        params = small_params(n_layers=2, share_layers=share_layers,
+                              share_branches=share_branches)
+        expected = tree.tree_copy(params)
+        state, ref_state = adam_init(params, lr=0.01), adam_init(expected, lr=0.01)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            grads = tree.tree_map(lambda a: rng.normal(size=a.shape), params)
+            adam_step(params, grads, state)
+            expected = ref_adam_step(expected, grads, ref_state)
+        assert state.step == ref_state.step == 3
+        for tree_got, tree_want in ((params, expected), (state.m, ref_state.m),
+                                    (state.v, ref_state.v)):
+            got, want = tree.unique_leaves(tree_got), tree.unique_leaves(tree_want)
+            assert [path for path, _ in got] == [path for path, _ in want]
+            for (path, a), (_, b) in zip(got, want):
+                assert a.tobytes() == b.tobytes(), path
 
     def test_shared_arrays_updated_once(self):
-        cfg = mixer.ModelConfig(
-            temporal=TemporalConfig(trend=2, period=2, closeness=2,
-                                    trend_interval=4, period_interval=2,
-                                    closeness_interval=1),
-            patch=2, channels_spatial=4, channels_temporal=4, expansion=4,
-            n_layers=1, share_branches=True,
-        )
-        params = mixer.build_params(cfg, 4, 4, 2, seed=0)
+        params = small_params(n_layers=1, share_branches=True)
         grads = tree.tree_zeros_like(params)
         grads.temporal_trend.layers[0].token_mlp.b_out += 1.0  # shared across branches
-        state = adam_init(params, lr=0.1)
-        new = adam_step(params, grads, state)
-        assert new.temporal_trend is new.temporal_period
-        moved = params.temporal_trend.layers[0].token_mlp.b_out - new.temporal_trend.layers[0].token_mlp.b_out
+        b_out = params.temporal_trend.layers[0].token_mlp.b_out
+        before = b_out.copy()
+        adam_step(params, grads, adam_init(params, lr=0.1))
+        assert params.temporal_trend is params.temporal_period
         # one bias-corrected step with g=1 moves by ~lr, not 2*lr
-        np.testing.assert_allclose(moved, 0.1, rtol=1e-6)
+        np.testing.assert_allclose(before - b_out, 0.1, rtol=1e-6)
 
 
 class TestSplitAnchors:
@@ -291,6 +326,22 @@ class TestTrainLoop:
             cfg = checkpoint.load_checkpoint(path).config
             assert cfg.split == (0.6, 0.2, 0.2)
             assert (cfg.batch_size, cfg.seed, cfg.lr, cfg.max_epochs, cfg.q) == (5, 3, 0.002, 2, 1)
+
+    def test_best_params_are_a_snapshot_of_the_best_epoch(self):
+        # lr 0.1 overshoots: epoch 3 has the lowest validation MAE, epoch 4 a
+        # higher one, so the live tree moves on after the snapshot is taken
+        data = synth("periodic", 4, 4, steps=120, seed=12, period=12)
+        cfg = tiny_model_cfg()
+        tc = TrainConfig(batch_size=16, max_epochs=4, patience=10, seed=0, lr=0.1)
+        result = training.train(data.values, cfg, tc, LossConfig(q=2))
+        assert result.best_epoch < len(result.history) == 4
+        normed = apply_norm(data.values, result.stats)
+        pred = training.predict_batches(
+            result.params, normed, result.anchors.val, cfg.temporal, tc.batch_size
+        )
+        pred_raw = invert_norm(pred, result.stats)
+        mae = float(np.abs(pred_raw - data.values[result.anchors.val]).mean())
+        assert mae == result.best_val_mae
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
