@@ -82,18 +82,9 @@ def branch_offsets(cfg: TemporalConfig) -> tuple[Array, Array, Array]:
 
 
 def required_history(cfg: TemporalConfig) -> int:
-    """Minimum number of past steps needed to form one input window."""
-    if cfg.block_mode:
-        return cfg.window
-    need = 0
-    for length, interval in (
-        (cfg.trend, cfg.trend_interval),
-        (cfg.period, cfg.period_interval),
-        (cfg.closeness, cfg.closeness_interval),
-    ):
-        if length > 0:
-            need = max(need, length * interval)
-    return need
+    """Minimum number of past steps needed to form one input window: the
+    furthest step back that any branch reads."""
+    return -int(np.concatenate(branch_offsets(cfg)).min(initial=0))
 
 
 def slice_dependencies(

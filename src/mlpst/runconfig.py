@@ -1,12 +1,13 @@
 """Hyperparameters, declared once, and the flat key=value run configuration.
 
-Every hyperparameter is a field of one of four dataclasses, which holds its
-default and its validation: :class:`TemporalConfig` (the input window),
+Every hyperparameter is a field of one of four dataclasses, which declares
+its default and its valid values: :class:`TemporalConfig` (the input window),
 :class:`ModelConfig` (the network), :class:`LossConfig` and
 :class:`TrainConfig`. :class:`RunConfig` is derived from them: one flat field
-per sub-config field, named as in the sub-config except ``layers``
+per sub-config field, rule included, named as in the sub-config except ``layers``
 (``ModelConfig.n_layers``) and ``combine_loss`` (``LossConfig.combine``), plus
-the grid geometry ``h``/``w``/``d`` and the optional ``window`` check.
+the grid geometry ``h``/``w``/``d`` and the optional ``window`` check. Each
+``validate`` checks every field's declared rule, then the cross-field rules.
 
 Text format: lines are ``key = value``; ``#`` starts a comment; blank lines
 are ignored. Unknown keys and unconvertible values are configuration errors.
@@ -17,11 +18,39 @@ round-trips.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
 VARIANTS = ("full", "mlp_at", "mlp_sa")
+
+
+def _rule(default, **rule):
+    """A field holding ``default``; ``rule`` is ``ge``/``gt`` a bound or ``choices``."""
+    return field(default=default, metadata=rule)
+
+
+def _check_fields(cfg) -> None:
+    """Raise :class:`ConfigError` naming the first field of ``cfg`` that breaks its rule.
+
+    An unset (``None``) value passes. A bound also requires the value to be
+    below inf, and NaN fails every comparison, so neither passes one.
+    """
+    for f in dataclasses.fields(cfg):
+        value, rule = getattr(cfg, f.name), f.metadata
+        if value is None or not rule:
+            continue
+        if "choices" in rule:
+            ok, want = value in rule["choices"], f"one of {rule['choices']}"
+        else:
+            ((op, low),) = rule.items()
+            values = value if isinstance(value, tuple) else (value,)
+            ok = all((v >= low if op == "ge" else v > low) and v < math.inf for v in values)
+            sign = ">=" if op == "ge" else ">"
+            want = f"{sign} {low} and finite" if isinstance(low, float) else f"{sign} {low}"
+        if not ok:
+            raise ConfigError(f"{f.name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,12 +64,12 @@ class TemporalConfig:
     trend/period/closeness order, ignoring the intervals.
     """
 
-    trend: int = 2
-    period: int = 2
-    closeness: int = 8
-    trend_interval: int = 168
-    period_interval: int = 24
-    closeness_interval: int = 1
+    trend: int = _rule(2, ge=0)
+    period: int = _rule(2, ge=0)
+    closeness: int = _rule(8, ge=0)
+    trend_interval: int = _rule(168, ge=1)
+    period_interval: int = _rule(24, ge=1)
+    closeness_interval: int = _rule(1, ge=1)
     block_mode: bool = False
     enforce_interval_order: bool = True
 
@@ -49,9 +78,7 @@ class TemporalConfig:
         return self.trend + self.period + self.closeness
 
     def validate(self) -> None:
-        for name in ("trend", "period", "closeness"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} length must be >= 0")
+        _check_fields(self)
         if self.trend == 1 or self.period == 1:
             raise ConfigError(
                 "trend and period lengths of 1 are not allowed (nothing to mix); "
@@ -59,9 +86,6 @@ class TemporalConfig:
             )
         if self.window < 1:
             raise ConfigError("input window t+p+c must be at least 1")
-        for name in ("trend_interval", "period_interval", "closeness_interval"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
         if self.block_mode or not self.enforce_interval_order:
             return
         # only intervals of active branches are constrained
@@ -87,56 +111,45 @@ class ModelConfig:
     """Hyperparameters defining a model for a given grid geometry."""
 
     temporal: TemporalConfig = field(default_factory=TemporalConfig)
-    patch: int = 2
-    channels_spatial: int = 20   # C_S: token width after the per-patch FC
-    channels_temporal: int = 20  # C_T: hidden units of temporal channel-mixing MLPs
-    expansion: int = 8           # hidden units of the remaining mixing MLPs
-    n_layers: int = 8
-    variant: str = "full"
+    patch: int = _rule(2, ge=1)
+    channels_spatial: int = _rule(20, ge=1)   # C_S: token width after the per-patch FC
+    channels_temporal: int = _rule(20, ge=1)  # C_T: hidden units of temporal channel-mixing MLPs
+    expansion: int = _rule(8, ge=1)           # hidden units of the remaining mixing MLPs
+    n_layers: int = _rule(8, ge=0)
+    variant: str = _rule("full", choices=VARIANTS)
     share_layers: bool = True
     share_branches: bool = False
-    predict_channel: int | None = None
+    predict_channel: int | None = _rule(None, ge=0)
 
     def validate(self) -> None:
         self.temporal.validate()
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("patch", "channels_spatial", "channels_temporal", "expansion"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.n_layers < 0:
-            raise ConfigError("n_layers must be >= 0")
+        _check_fields(self)
 
 
 @dataclass
 class LossConfig:
-    q: int = 2           # 1 = absolute-error loss, 2 = root-of-squares loss
+    q: int = _rule(2, choices=(1, 2))  # 1 = absolute-error loss, 2 = root-of-squares loss
     combine: bool = False  # sum the q=1 and q=2 losses
 
     def validate(self) -> None:
-        if self.q not in (1, 2):
-            raise ConfigError(f"loss norm order q must be 1 or 2, got {self.q}")
+        _check_fields(self)
 
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 64
-    max_epochs: int = 100
-    patience: int = 10
-    split: tuple[float, float, float] = (0.7, 0.1, 0.2)
-    seed: int = 0
-    lr: float = 1e-3
-    min_history: int | None = None
+    batch_size: int = _rule(64, ge=1)
+    max_epochs: int = _rule(100, ge=1)
+    patience: int = _rule(10, ge=1)
+    split: tuple[float, float, float] = _rule((0.7, 0.1, 0.2), ge=0.0)
+    seed: int = _rule(0, ge=0)
+    lr: float = _rule(1e-3, gt=0.0)
+    min_history: int | None = _rule(None, ge=0)
 
     def validate(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        _check_fields(self)
+        if not (abs(sum(self.split) - 1.0) <= 1e-9 and 0.0 < self.split[1] < 1.0):
+            raise ConfigError(f"split must be three ratios summing to 1 with the validation "
+                              f"share in (0, 1), got {self.split}")
 
 
 # sub-config field -> flat key, where the two differ
@@ -151,10 +164,10 @@ _SUB_KEYS = {
 
 
 def _flatten(cls):
-    """Add one field per sub-config field to ``cls``, then make it a dataclass."""
+    """Add one field per sub-config field, its rule included, to ``cls``; make it a dataclass."""
     for key, (_, f) in _SUB_KEYS.items():
         cls.__annotations__[key] = f.type
-        setattr(cls, key, f.default)
+        setattr(cls, key, field(default=f.default, metadata=f.metadata))
     return dataclass(cls)
 
 
@@ -163,11 +176,11 @@ class RunConfig:
     """The flat run configuration: the fields below, then every sub-config field."""
 
     # grid geometry; None means "take from the dataset"
-    h: int | None = None
-    w: int | None = None
-    d: int | None = None
+    h: int | None = _rule(None, ge=1)
+    w: int | None = _rule(None, ge=1)
+    d: int | None = _rule(None, ge=1)
     # if set, must equal trend + period + closeness
-    window: int | None = None
+    window: int | None = _rule(None, ge=1)
 
     # -- conversions ---------------------------------------------------
 
@@ -200,25 +213,22 @@ class RunConfig:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
+        # every key's own rule first, so an error names the key as written
+        _check_fields(self)
         window = self.temporal_config().window
         if self.window is not None and self.window != window:
             raise ConfigError(f"window={self.window} violates trend+period+closeness=={window}")
         self.model_config().validate()
         self.train_config().validate()
         self.loss_config().validate()
-        for name in ("h", "w", "d"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1")
         for name in ("h", "w"):
             value = getattr(self, name)
             if value is not None and value % self.patch != 0:
                 raise ConfigError(f"patch={self.patch} must divide {name}={value}")
-        if self.predict_channel is not None:
-            if self.predict_channel < 0 or (self.d is not None and self.predict_channel >= self.d):
-                raise ConfigError(
-                    f"predict_channel={self.predict_channel} is outside the feature channels"
-                )
+        if None not in (self.predict_channel, self.d) and self.predict_channel >= self.d:
+            raise ConfigError(
+                f"predict_channel={self.predict_channel} is outside the feature channels"
+            )
 
     def resolve_grid(self, h: int, w: int, d: int) -> "RunConfig":
         """Fill grid geometry from a dataset, rejecting explicit mismatches."""

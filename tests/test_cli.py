@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
+import dataclasses
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from mlpst import ingestion, mixer, training
 from mlpst.cli import main
 from mlpst.errors import DataError
-from mlpst.runconfig import parse_config_file
+from mlpst.runconfig import RunConfig, parse_config_file
 
 
 def run(argv):
@@ -500,13 +503,93 @@ class TestNonFinite:
         cfg = tmp_path / "huge_lr.cfg"
         cfg.write_text(tiny_config.read_text().replace("lr = 0.003", "lr = 1e300"))
         out = tmp_path / "m.ckpt"
-        with np.errstate(all="ignore"):
+        # the overflow on the way to the non-finite loss must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = run(["train", "--data", str(synth_data), "--config", str(cfg),
                         "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: training diverged at epoch 1:")
         assert not out.exists()
+
+
+# invalid values of every config key; a key without a row fails its test
+BAD_VALUES = {
+    "h": ["0", "-1"],
+    "w": ["0"],
+    "d": ["0"],
+    "window": ["0", "-1"],
+    "patch": ["0", "-2"],
+    "channels_spatial": ["0"],
+    "channels_temporal": ["0"],
+    "expansion": ["0"],
+    "layers": ["-1"],
+    "variant": ["cnn", ""],
+    "share_layers": ["maybe"],
+    "share_branches": ["2"],
+    "predict_channel": ["-1"],
+    "trend": ["-1", "1"],
+    "period": ["-2", "1"],
+    "closeness": ["-1"],
+    "trend_interval": ["0"],
+    "period_interval": ["0", "-24"],
+    "closeness_interval": ["0"],
+    "block_mode": ["maybe"],
+    "enforce_interval_order": [""],
+    "q": ["0", "3"],
+    "combine_loss": ["maybe"],
+    "batch_size": ["0", "-1"],
+    "max_epochs": ["0"],
+    "patience": ["0"],
+    "split": ["0.7,0.1,nan", "0.7,0.1,inf", "nan,nan,nan", "-0.1,0.3,0.8",
+              "0.5,0.1,0.2", "1.0,0.0,0.0", "0.7,0.1"],
+    "seed": ["-1", "nan"],
+    "lr": ["nan", "inf", "-inf", "0", "-0.001"],
+    "min_history": ["-5", "inf"],
+}
+
+
+class TestConfigRules:
+    """A key's default passes; each bad value exits 3 with one stderr line naming the key,
+    and writes nothing."""
+
+    @staticmethod
+    def base_config(tmp_path, key=None, value=None):
+        path = tmp_path / "run.cfg"
+        text = ("patch = 2\nchannels_spatial = 4\nchannels_temporal = 4\nexpansion = 2\n"
+                "layers = 1\ntrend = 0\nperiod = 2\ncloseness = 2\nperiod_interval = 12\n"
+                "max_epochs = 2\nbatch_size = 16\nlr = 0.003\n")
+        if key is not None:
+            text += f"{key} = {value}\n"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_bad_value_exits_3_naming_the_key(self, synth_data, tmp_path, capsys, key):
+        assert BAD_VALUES[key]
+        defaults = dict(line.split("=", 1) for line in RunConfig().to_text().splitlines())
+        assert run(["inspect", "--config", str(self.base_config(tmp_path, key, defaults[key]))]) == 0
+        capsys.readouterr()
+        for value in BAD_VALUES[key]:
+            cfg = self.base_config(tmp_path, key, value)
+            out = tmp_path / "m.ckpt"
+            for argv in (["train", "--data", str(synth_data), "--config", str(cfg),
+                          "--out", str(out)],
+                         ["inspect", "--config", str(cfg)]):
+                code = run(argv)
+                captured = capsys.readouterr()
+                err = captured.err.splitlines()
+                assert (code, len(err)) == (3, 1), (argv[0], value, captured.err)
+                assert re.search(rf"\b{key}\b", err[0]), (argv[0], value, err[0])
+                assert captured.out == ""
+            assert list(tmp_path.glob("m.ckpt*")) == []
+
+    def test_base_config_trains(self, synth_data, tmp_path, capsys):
+        out = tmp_path / "m.ckpt"
+        assert run(["train", "--data", str(synth_data), "--config",
+                    str(self.base_config(tmp_path)), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "" and out.exists()
 
 
 class TestThreadCap:

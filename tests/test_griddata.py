@@ -131,6 +131,42 @@ class TestSliceDependencies:
             griddata.slice_dependencies(_steps(100), cfg)
 
 
+class TestRequiredHistory:
+    # README: max(len * interval) over the active branches; the window in block mode
+    @pytest.mark.parametrize("lengths, intervals, expected", [
+        ((2, 2, 8), (168, 24, 1), 336),
+        ((3, 2, 4), (12, 5, 2), 36),
+        ((2, 3, 5), (20, 6, 1), 40),
+        ((0, 2, 4), (168, 12, 1), 24),      # trend off: its interval is ignored
+        ((0, 0, 6), (168, 24, 3), 18),
+        ((2, 0, 8), (30, 24, 1), 60),
+        ((0, 2, 20), (168, 4, 1), 20),      # closeness reaches furthest back
+    ])
+    def test_strided(self, lengths, intervals, expected):
+        trend, period, closeness = lengths
+        ti, pi, ci = intervals
+        cfg = TemporalConfig(trend=trend, period=period, closeness=closeness,
+                             trend_interval=ti, period_interval=pi, closeness_interval=ci)
+        assert griddata.required_history(cfg) == expected
+        assert expected == max(n * l for n, l in zip(lengths, intervals) if n > 0)
+
+    @pytest.mark.parametrize("lengths", [(2, 2, 8), (0, 2, 4), (0, 0, 5), (2, 0, 3)])
+    def test_block_mode_is_the_window(self, lengths):
+        trend, period, closeness = lengths
+        cfg = TemporalConfig(trend=trend, period=period, closeness=closeness,
+                             trend_interval=168, period_interval=24, block_mode=True)
+        assert griddata.required_history(cfg) == trend + period + closeness
+
+    def test_is_exactly_what_slicing_needs(self):
+        cfg = TemporalConfig(trend=2, period=2, closeness=3,
+                             trend_interval=10, period_interval=4, closeness_interval=1)
+        need = griddata.required_history(cfg)
+        assert need == 20
+        griddata.slice_dependencies(_steps(need), cfg)
+        with pytest.raises(DataError):
+            griddata.slice_dependencies(_steps(need - 1), cfg)
+
+
 class TestTemporalConfigValidation:
     def test_length_one_period_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Tests for the key=value run configuration."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -119,6 +120,10 @@ class TestValidation:
     @pytest.mark.parametrize("key, value, sub", [
         ("q", 3, LossConfig(q=3)),
         ("variant", "cnn", ModelConfig(variant="cnn")),
+        ("lr", math.nan, TrainConfig(lr=math.nan)),
+        ("split", (0.7, 0.1, math.inf), TrainConfig(split=(0.7, 0.1, math.inf))),
+        ("seed", -1, TrainConfig(seed=-1)),
+        ("trend", -1, ModelConfig(temporal=TemporalConfig(trend=-1))),
     ])
     def test_rules_are_the_sub_configs_rules(self, key, value, sub):
         with pytest.raises(ConfigError) as want:
@@ -126,3 +131,7 @@ class TestValidation:
         with pytest.raises(ConfigError) as got:
             RunConfig(**{key: value}).validate()
         assert str(got.value) == str(want.value)
+
+    def test_every_key_but_a_boolean_declares_its_rule(self):
+        for f in dataclasses.fields(RunConfig):
+            assert (f.type == "bool") != bool(f.metadata), f.name

@@ -208,9 +208,9 @@ class TestSplitAnchors:
             split_anchors(8, cfg, (0.7, 0.1, 0.2))
 
     def test_bad_ratios(self):
-        cfg = TemporalConfig()
-        with pytest.raises(ConfigError):
-            split_anchors(1000, cfg, (0.9, 0.2, 0.2))
+        # the ratios are TrainConfig's rule, checked before train splits anchors
+        with pytest.raises(ConfigError, match="split"):
+            TrainConfig(split=(0.9, 0.2, 0.2)).validate()
 
 
 class TestGatherWindows:
