@@ -131,6 +131,8 @@ def _split_anchors(cfg: RunConfig, n_steps: int, which: str):
 
 
 def cmd_evaluate(args) -> int:
+    if args.baseline == "havg" and args.period < 1:
+        raise ConfigError(f"--period must be >= 1, got {args.period}")
     dataset = ingestion.read_dataset(args.data)
     if args.baseline:
         if args.config:

@@ -35,6 +35,7 @@ from .tensor import (
     column_mlp_bwd,
     column_mlp_fwd,
     dense_grads,
+    layernorm_affine,
     layernorm_bwd,
     layernorm_fwd,
     layernorm_init,
@@ -240,14 +241,14 @@ def token_mixing_fwd(
     xn, ln_cache = layernorm_fwd(v, ln)
     z, h, cdf = column_mlp_fwd(xn, mlp)
     z += v
-    return z, MlpBlockCache(xn=xn, h=h, cdf=cdf, ln=ln_cache)
+    return z, MlpBlockCache(h=h, cdf=cdf, ln=ln_cache)
 
 
 def token_mixing_bwd(
     grad_u: Array, cache: MlpBlockCache, mlp: MlpBlockParams, ln: LayerNormParams
 ) -> tuple[Array, MlpBlockParams, LayerNormParams]:
     """Backward of :func:`token_mixing_fwd`: ``(dv, mlp grads, layernorm grads)``."""
-    dxn, grads = column_mlp_bwd(grad_u, cache, mlp)
+    dxn, grads = column_mlp_bwd(grad_u, layernorm_affine(cache.ln.xhat, ln), cache, mlp)
     dv, dgamma, dbeta = layernorm_bwd(dxn, cache.ln, ln)
     dv += grad_u
     return dv, grads, LayerNormParams(gamma=dgamma, beta=dbeta, eps=ln.eps)
@@ -518,17 +519,33 @@ def batch_forward(
     return pred, cache
 
 
-def batch_backward(cache: ModelCache, grad_pred: Array, params: ModelParams) -> ModelParams:
+def batch_backward(
+    cache: ModelCache, grad_pred: Array, params: ModelParams, grads: ModelParams | None = None
+) -> ModelParams:
     """Exact reverse-mode gradients for every parameter; nothing else.
 
     Returns a gradient tree congruent with ``params`` (same sharing
     topology); repeated calls on one cache give identical results.
+
+    ``grads``, when given, is such a tree (from an earlier call or
+    ``tree.tree_zeros_like(params)``); it is overwritten and returned, so
+    a training loop allocates no gradient tree after its first step. The
+    head gradient ``w_out``, the largest leaf, is written by the product
+    itself; every other leaf is zeroed, then accumulated into. The values
+    are the same either way.
     """
-    grads: ModelParams = tree.tree_zeros_like(params)
+    if grads is None:
+        grads = tree.tree_zeros_like(params)
+    else:
+        for _, leaf in tree.unique_leaves(grads):
+            if leaf is not grads.w_out:
+                leaf.fill(0.0)
     g_flat = grad_pred.reshape(cache.batch, -1)
 
     grads.b_out += g_flat.sum(axis=0)
-    grads.w_out += matmul(cache.e_hat.T, g_flat)
+    # a product with +0.0 accumulators never yields -0.0, so writing it
+    # directly gives the bytes of adding it to zeros
+    matmul(cache.e_hat.T, g_flat, out=grads.w_out)
     g_ehat = matmul(g_flat, params.w_out.T)
 
     d_t = params.w_out.shape[0]

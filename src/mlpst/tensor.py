@@ -69,13 +69,13 @@ def count_multiplies():
         _active_counter = previous
 
 
-def matmul(a: Array, b: Array) -> Array:
-    """``a @ b``; counts ``out.size * a.shape[-1]`` multiplies.
+def matmul(a: Array, b: Array, out: Array | None = None) -> Array:
+    """``a @ b``, into ``out`` when given; counts ``out.size * a.shape[-1]`` multiplies.
 
     That is one multiply per term of every output entry, whether the batch
     axes sit on ``a``, on ``b`` or on both.
     """
-    out = a @ b
+    out = np.matmul(a, b, out=out)
     if _active_counter is not None:
         _active_counter.count += out.size * a.shape[-1]
     return out
@@ -173,9 +173,19 @@ def layernorm_fwd(x: Array, p: LayerNormParams) -> tuple[Array, LayerNormCache]:
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std
-    np.multiply(xhat, p.gamma, out=y)
+    return layernorm_affine(xhat, p, out=y), LayerNormCache(xhat=xhat, inv_std=inv_std)
+
+
+def layernorm_affine(xhat: Array, p: LayerNormParams, out: Array | None = None) -> Array:
+    """The LayerNorm output ``xhat * gamma + beta``, into ``out`` when given.
+
+    :func:`layernorm_fwd` ends with it, and the backward passes call it to
+    recompute the output from the cached ``xhat`` with the same operations,
+    so the recomputed output is bitwise the forward one.
+    """
+    y = np.multiply(xhat, p.gamma, out=out)
     y += p.beta
-    return y, LayerNormCache(xhat=xhat, inv_std=inv_std)
+    return y
 
 
 def layernorm_bwd(
@@ -222,7 +232,12 @@ def mlp_block_init(dim: int, hidden: int, rng) -> MlpBlockParams:
 
 
 class MlpBlockCache(NamedTuple):
-    xn: Array         # MLP input: the LayerNorm output
+    """What a block's backward pass needs from its forward pass.
+
+    The MLP's input, the LayerNorm output ``xn``, is not kept: the backward
+    pass recomputes it from ``ln.xhat`` with :func:`layernorm_affine`.
+    """
+
     h: Array          # pre-activation hidden
     cdf: Array        # normal_cdf(h); the GELU output is h * cdf
     ln: LayerNormCache
@@ -258,13 +273,13 @@ def mlp_fwd(xn: Array, p: MlpBlockParams) -> tuple[Array, Array, Array]:
 
 
 def mlp_bwd(
-    grad_z: Array, cache: MlpBlockCache, p: MlpBlockParams
+    grad_z: Array, xn: Array, cache: MlpBlockCache, p: MlpBlockParams
 ) -> tuple[Array, MlpBlockParams]:
-    """Backward of :func:`mlp_fwd`: ``(dxn, block grads)``."""
+    """Backward of :func:`mlp_fwd` at input ``xn``: ``(dxn, block grads)``."""
     dw_out, db_out = dense_grads(cache.h * cache.cdf, grad_z)
     dh = matmul(grad_z, p.w_out.T)
     dh *= gelu_grad(cache.h, cache.cdf)
-    dw_in, db_in = dense_grads(cache.xn, dh)
+    dw_in, db_in = dense_grads(xn, dh)
     dxn = matmul(dh, p.w_in.T)
     return dxn, MlpBlockParams(w_in=dw_in, b_in=db_in, w_out=dw_out, b_out=db_out)
 
@@ -287,9 +302,9 @@ def column_mlp_fwd(xn: Array, p: MlpBlockParams) -> tuple[Array, Array, Array]:
 
 
 def column_mlp_bwd(
-    grad_z: Array, cache: MlpBlockCache, p: MlpBlockParams
+    grad_z: Array, xn: Array, cache: MlpBlockCache, p: MlpBlockParams
 ) -> tuple[Array, MlpBlockParams]:
-    """Backward of :func:`column_mlp_fwd`: ``(dxn, block grads)``.
+    """Backward of :func:`column_mlp_fwd` at input ``xn``: ``(dxn, block grads)``.
 
     Weight gradients are batched products summed over the leading axes;
     bias gradients sum over the leading axes first, which adds whole
@@ -300,7 +315,7 @@ def column_mlp_bwd(
     db_out = grad_z.sum(axis=lead).sum(axis=-1)
     dh = matmul(p.w_out, grad_z)
     dh *= gelu_grad(cache.h, cache.cdf)
-    dw_in = matmul(cache.xn, np.swapaxes(dh, -1, -2)).sum(axis=lead)
+    dw_in = matmul(xn, np.swapaxes(dh, -1, -2)).sum(axis=lead)
     db_in = dh.sum(axis=lead).sum(axis=-1)
     dxn = matmul(p.w_in, dh)
     return dxn, MlpBlockParams(w_in=dw_in, b_in=db_in, w_out=dw_out, b_out=db_out)
@@ -313,7 +328,7 @@ def mlp_block_fwd(
     xn, ln_cache = layernorm_fwd(x, ln)
     z, h, cdf = mlp_fwd(xn, p)
     z += x
-    return z, MlpBlockCache(xn=xn, h=h, cdf=cdf, ln=ln_cache)
+    return z, MlpBlockCache(h=h, cdf=cdf, ln=ln_cache)
 
 
 def mlp_block_bwd(
@@ -323,7 +338,7 @@ def mlp_block_bwd(
 
     Gradient containers reuse the parameter dataclasses (same shapes).
     """
-    dxn, grads = mlp_bwd(grad_y, cache, p)
+    dxn, grads = mlp_bwd(grad_y, layernorm_affine(cache.ln.xhat, ln), cache, p)
     dx, dgamma, dbeta = layernorm_bwd(dxn, cache.ln, ln)
     dx += grad_y
     return dx, grads, LayerNormParams(gamma=dgamma, beta=dbeta, eps=ln.eps)

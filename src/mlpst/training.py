@@ -69,6 +69,13 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
+# elements per block of an Adam update: its two scratch buffers take 256 KB
+ADAM_BLOCK = 32768
+
+
+def _scratch() -> tuple[Array, Array]:
+    return np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+
 
 @dataclass
 class AdamState:
@@ -76,6 +83,7 @@ class AdamState:
     v: ModelParams
     lr: float = 1e-3
     step: int = 0
+    scratch: tuple[Array, Array] = field(default_factory=_scratch, repr=False)
 
 
 def adam_init(params: ModelParams, lr: float = 1e-3) -> AdamState:
@@ -86,18 +94,40 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None
     """One bias-corrected Adam update of ``params`` and the moments, in place.
 
     Shared parameter arrays are updated exactly once (their gradients were
-    already accumulated across all paths that reach them).
+    already accumulated across all paths that reach them). Each leaf is
+    updated in blocks of ``ADAM_BLOCK`` elements, every sub-expression
+    written into the state's two scratch buffers, so a step allocates no
+    array the size of a leaf. Per element the operations and their order
+    are those of::
+
+        m = m * BETA1 + (1 - BETA1) * g
+        v = v * BETA2 + (1 - BETA2) * (g * g)
+        p = p - lr * (m / bc1) / (sqrt(v / bc2) + EPS)
     """
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
     leaves = (tree.unique_leaves(t) for t in (params, grads, state.m, state.v))
     for (_, p), (_, g), (_, m), (_, v) in zip(*leaves, strict=True):
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        # in-place updates need views: a leaf that is not contiguous raises
+        p, m, v = (np.reshape(a, -1, copy=False) for a in (p, m, v))
+        g = g.reshape(-1)
+        for start in range(0, p.size, ADAM_BLOCK):
+            blk = slice(start, start + ADAM_BLOCK)
+            pb, gb, mb, vb = p[blk], g[blk], m[blk], v[blk]
+            a, b = (buf[: pb.size] for buf in state.scratch)
+            mb *= BETA1
+            mb += np.multiply(1.0 - BETA1, gb, out=a)
+            vb *= BETA2
+            np.multiply(gb, gb, out=a)
+            vb += np.multiply(1.0 - BETA2, a, out=a)
+            np.divide(mb, bc1, out=a)
+            a *= state.lr
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += EPS
+            a /= b
+            pb -= a
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +268,7 @@ def train(
     shuffle_rng = np.random.default_rng([train_cfg.seed, 1])
 
     result = TrainResult(params=params, stats=stats, anchors=parts)
-    best_params = tree.tree_copy(params)
+    grads = tree.tree_zeros_like(params)  # refilled by every step's backward pass
     since_best = 0
 
     val_targets_raw = select_target(maps[parts.val], params.predict_channel)
@@ -252,7 +282,7 @@ def train(
             targets = select_target(normed[chunk], params.predict_channel)
             pred, cache = batch_forward(branch_maps, params)
             value, grad_pred = loss(pred, targets, loss_cfg)
-            grads = batch_backward(cache, grad_pred, params)
+            batch_backward(cache, grad_pred, params, grads)
             adam_step(params, grads, adam)
             batch_losses.append(value)
         train_loss = float(np.mean(batch_losses))

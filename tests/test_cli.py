@@ -411,6 +411,19 @@ class TestEvaluatePredictInspect:
     def test_usage_error_exits_3(self):
         assert run(["evaluate"]) == 3
 
+    @pytest.mark.parametrize("period", ["0", "-3"])
+    def test_havg_period_below_one_exits_3_before_reading_data(self, tmp_path, capsys, period):
+        missing = tmp_path / "absent.stgrid"  # a read would exit 2
+        assert run(["evaluate", "--data", str(missing), "--baseline", "havg",
+                    "--period", period]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--period" in err[0]
+
+    def test_havg_period_longer_than_history_exits_2(self, synth_data, tiny_config, capsys):
+        assert run(["evaluate", "--data", str(synth_data), "--baseline", "havg",
+                    "--period", "110", "--config", str(tiny_config)]) == 2
+        assert "period" in capsys.readouterr().err
+
 
 def write_with_value(src, dst, step, value):
     """Write ``src``'s dataset to ``dst`` with one entry of map ``step`` set to ``value``."""

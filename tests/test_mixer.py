@@ -253,6 +253,18 @@ class TestTokenMixingLayout:
             np.testing.assert_array_equal(before, after)
 
 
+def test_cache_keeps_no_layernorm_output_and_backward_recomputes_it_bitwise():
+    rng = np.random.default_rng(6)
+    p = random_layer(rng, 5, 7, hidden=3)
+    v = rng.normal(size=(2, 5, 7))
+    u, _ = mixer.token_mixing_fwd(v, p.token_mlp, p.ln_tokens)
+    _, cache = mixer.mixer_layer_fwd(v, p)
+    for x, block, ln in ((v, cache.token, p.ln_tokens), (u, cache.channel, p.ln_channels)):
+        xn, _ = tensor.layernorm_fwd(x, ln)
+        assert tensor.layernorm_affine(block.ln.xhat, ln).tobytes() == xn.tobytes()
+        assert all(a.tobytes() != xn.tobytes() for a in cache_arrays(block))
+
+
 def small_config(**kw):
     defaults = dict(
         temporal=TemporalConfig(trend=2, period=2, closeness=2,
@@ -488,6 +500,25 @@ class TestModelBackward:
         np.testing.assert_array_equal(grads.w_trend, np.zeros_like(grads.w_trend))
         np.testing.assert_array_equal(grads.w_period, np.zeros_like(grads.w_period))
         assert np.abs(grads.w_closeness).sum() > 0
+
+    @pytest.mark.parametrize("share_layers", [True, False])
+    @pytest.mark.parametrize("share_branches", [True, False])
+    def test_backward_into_a_used_tree_equals_a_fresh_tree(self, share_layers, share_branches):
+        cfg = small_config(share_layers=share_layers, share_branches=share_branches)
+        params = mixer.build_params(cfg, 4, 4, 2, seed=13)
+        rng = np.random.default_rng(14)
+        randomise_leaves(params, rng)
+        maps = desk_history(rng)
+        reused = tree.tree_zeros_like(params)
+        for anchors in ([8, 9, 12], [10, 19]):  # the second call overwrites the first's gradients
+            pred, cache = mixer.batch_forward(gather_windows(maps, np.array(anchors), cfg.temporal), params)
+            upstream = rng.normal(size=pred.shape)
+            fresh = mixer.batch_backward(cache, upstream, params)
+            assert mixer.batch_backward(cache, upstream, params, reused) is reused
+            got, want = tree.unique_leaves(reused), tree.unique_leaves(fresh)
+            assert [path for path, _ in got] == [path for path, _ in want]
+            for (path, a), (_, b) in zip(got, want):
+                assert a.tobytes() == b.tobytes(), path
 
     def test_repeated_backward_identical(self):
         cfg, params, history, rng = self._setup(seed=5)

@@ -366,16 +366,16 @@ class TestBackwardKeepsCache:
         p = self._params(rng, 5, 3)
         xn = rng.normal(size=(2, 5, 5))
         z, h, cdf = fwd(xn, p)
-        cache = tensor.MlpBlockCache(xn=xn, h=h, cdf=cdf, ln=tensor.LayerNormCache(
+        cache = tensor.MlpBlockCache(h=h, cdf=cdf, ln=tensor.LayerNormCache(
             xhat=np.zeros(1), inv_std=np.zeros(1)))
-        kept = cache_copy(cache)
+        kept = cache_copy((xn, cache))
         grad = rng.normal(size=z.shape)
-        first = bwd(grad, cache, p)
-        second = bwd(grad, cache, p)
+        first = bwd(grad, xn, cache, p)
+        second = bwd(grad, xn, cache, p)
         np.testing.assert_array_equal(first[0], second[0])
         for name in ("w_in", "b_in", "w_out", "b_out"):
             np.testing.assert_array_equal(getattr(first[1], name), getattr(second[1], name))
-        for before, after in zip(kept, tree_arrays(cache)):
+        for before, after in zip(kept, tree_arrays((xn, cache))):
             np.testing.assert_array_equal(before, after)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -389,8 +389,8 @@ class TestBackwardKeepsCache:
             return float((tensor.column_mlp_fwd(xn, p)[0] * upstream).sum())
 
         z, h, cdf = tensor.column_mlp_fwd(xn, p)
-        cache = tensor.MlpBlockCache(xn=xn, h=h, cdf=cdf, ln=None)
-        dxn, grads = tensor.column_mlp_bwd(upstream, cache, p)
+        cache = tensor.MlpBlockCache(h=h, cdf=cdf, ln=None)
+        dxn, grads = tensor.column_mlp_bwd(upstream, xn, cache, p)
         pairs = [(dxn, xn)] + [(getattr(grads, n), getattr(p, n)) for n in ("w_in", "b_in", "w_out", "b_out")]
         for analytic, arr in pairs:
             assert rel_errors(analytic, central_diff(f, arr)).max() < 1e-6
