@@ -4,7 +4,8 @@ Exit codes are a stable contract: 0 success, 2 data error, 3 configuration
 error, 1 internal error. The env var MLPST_THREADS caps internal (BLAS)
 parallelism; 0 or unset leaves the platform default. When set, it overrides
 OMP_NUM_THREADS and the other BLAS thread variables, and it takes effect only
-if this module is imported before numpy.
+if this module is imported before numpy. A value that is not a non-negative
+integer sets nothing, and :func:`main` exits 3 naming it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import os
 
 _threads = os.environ.get("MLPST_THREADS", "0").strip()
-if _threads not in ("", "0"):
+_threads_ok = _threads == "" or (_threads.isascii() and _threads.isdigit())
+if _threads_ok and int(_threads or "0") > 0:
     for _var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",
@@ -143,8 +145,18 @@ def cmd_evaluate(args) -> int:
             cfg = RunConfig()
             warm = args.period if args.baseline == "havg" else 1
             minimal = TemporalConfig(trend=0, period=0, closeness=1)
-            parts = training.split_anchors(dataset.n_steps, minimal, cfg.split, warm)
+            try:
+                parts = training.split_anchors(dataset.n_steps, minimal, cfg.split, warm)
+            except ConfigError as exc:
+                if args.baseline != "havg":
+                    raise
+                raise DataError(f"--period {args.period} is too long for the series: {exc}") from exc
             anchors = getattr(parts, args.split)
+        if args.baseline == "havg" and args.period > anchors.min():
+            raise DataError(
+                f"--period {args.period} is longer than the {anchors.min()} maps "
+                f"before the first {args.split} anchor"
+            )
         report = evaluation.evaluate_baseline(
             args.baseline, dataset.values, anchors,
             period=args.period, batch_size=cfg.batch_size,
@@ -274,6 +286,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
+        if not _threads_ok:
+            raise ConfigError(f"MLPST_THREADS must be a non-negative integer, got {_threads!r}")
         args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:

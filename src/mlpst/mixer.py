@@ -577,18 +577,14 @@ def model_forward(
 ) -> tuple[Array, ModelCache | None]:
     """Predict the next grid map from a single history stack ``(T, H, W, d)``.
 
-    The cache for :func:`model_backward` is kept unless ``keep_cache`` is
-    false, in which case it is ``None`` (see :func:`batch_forward`).
+    The cache, a one-window :func:`batch_backward` input, is kept unless
+    ``keep_cache`` is false, in which case it is ``None`` (see
+    :func:`batch_forward`).
     """
     trend, period, closeness = slice_dependencies(history, cfg)
     branch_maps = tuple(m[np.newaxis] for m in (trend, period, closeness))
     pred, cache = batch_forward(branch_maps, params, keep_cache=keep_cache)
     return pred[0], cache
-
-
-def model_backward(cache: ModelCache, grad_prediction: Array, params: ModelParams) -> ModelParams:
-    """Backward pass matching :func:`model_forward` (single sample)."""
-    return batch_backward(cache, grad_prediction[np.newaxis], params)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tree
+from . import tensor, tree
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError
 from .griddata import (
@@ -276,15 +276,24 @@ def train(
     for epoch in range(1, train_cfg.max_epochs + 1):
         order = shuffle_rng.permutation(parts.train)
         batch_losses = []
+        # the last step's temporal cache arrays, which the next forward
+        # reuses: a step holds one cache, and allocates its temporal part once
+        spare: list[Array] = []
         for start in range(0, order.size, train_cfg.batch_size):
             chunk = order[start : start + train_cfg.batch_size]
+            if chunk.size < train_cfg.batch_size:
+                spare = []  # a short last batch could not use them
             branch_maps = gather_windows(normed, chunk, temporal)
             targets = select_target(normed[chunk], params.predict_channel)
-            pred, cache = batch_forward(branch_maps, params)
+            with tensor.reusing(spare):
+                pred, cache = batch_forward(branch_maps, params)
             value, grad_pred = loss(pred, targets, loss_cfg)
             batch_backward(cache, grad_pred, params, grads)
+            spare = [a for _, a in tree.iter_leaves(cache.temporal) if a.base is None]
+            del pred, cache, grad_pred
             adam_step(params, grads, adam)
             batch_losses.append(value)
+        del spare  # validation and the checkpoint writes run without it
         train_loss = float(np.mean(batch_losses))
 
         val_pred = predict_batches(params, normed, parts.val, temporal, train_cfg.batch_size)

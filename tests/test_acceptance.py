@@ -139,7 +139,7 @@ def _model_results(seed):
         return float((pred * upstream).sum())
 
     _, cache = mixer.model_forward(history, cfg.temporal, params)
-    grads = mixer.model_backward(cache, upstream, params)
+    grads = mixer.batch_backward(cache, upstream[np.newaxis], params)
     out = []
     for (_, g), (_, arr) in zip(tree.unique_leaves(grads), tree.unique_leaves(params)):
         out.append(compare_grads(g, central_diff(f, arr)))

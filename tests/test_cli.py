@@ -424,6 +424,17 @@ class TestEvaluatePredictInspect:
                     "--period", "110", "--config", str(tiny_config)]) == 2
         assert "period" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("with_config", [False, True], ids=["own-warm-up", "config-split"])
+    def test_havg_period_longer_than_the_series_exits_2_naming_it(
+        self, synth_data, tiny_config, capsys, with_config
+    ):
+        # the 120-step series has no anchor with 500 maps before it; under the
+        # config, the test split starts at step 100
+        extra = ["--period", "110", "--config", str(tiny_config)] if with_config else ["--period", "500"]
+        assert run(["evaluate", "--data", str(synth_data), "--baseline", "havg", *extra]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--period" in err[0]
+
 
 def write_with_value(src, dst, step, value):
     """Write ``src``'s dataset to ``dst`` with one entry of map ``step`` set to ``value``."""
@@ -639,6 +650,22 @@ class TestThreadCap:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "2 threads"])
+    def test_bad_value_exits_3_and_sets_nothing(self, tmp_path, value):
+        out = tmp_path / "d.stgrid"
+        proc = self.child(
+            ["-c", "import os, sys, mlpst.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+                   "sys.exit(mlpst.cli.main(sys.argv[1:]))",
+             "synth", "--kind", "constant", "--out", str(out),
+             "--height", "4", "--width", "4", "--steps", "10"],
+            OPENBLAS_NUM_THREADS="4", MLPST_THREADS=value,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout.strip() == "4"
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and "MLPST_THREADS" in err[0]
+        assert not out.exists()
 
     def test_cap_overrides_a_preset_blas_variable(self):
         proc = self.child(

@@ -483,7 +483,7 @@ class TestModelBackward:
     def test_zero_upstream_grad_gives_zero_grads(self):
         cfg, params, history, _ = self._setup()
         _, cache = mixer.model_forward(history, cfg.temporal, params)
-        grads = mixer.model_backward(cache, np.zeros((4, 4, 2)), params)
+        grads = mixer.batch_backward(cache, np.zeros((4, 4, 2))[np.newaxis], params)
         for _, arr in tree.iter_leaves(grads):
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
 
@@ -496,7 +496,7 @@ class TestModelBackward:
         rng = np.random.default_rng(4)
         history = desk_history(rng)
         _, cache = mixer.model_forward(history, cfg.temporal, params)
-        grads = mixer.model_backward(cache, rng.normal(size=(4, 4, 2)), params)
+        grads = mixer.batch_backward(cache, rng.normal(size=(4, 4, 2))[np.newaxis], params)
         np.testing.assert_array_equal(grads.w_trend, np.zeros_like(grads.w_trend))
         np.testing.assert_array_equal(grads.w_period, np.zeros_like(grads.w_period))
         assert np.abs(grads.w_closeness).sum() > 0
@@ -524,8 +524,8 @@ class TestModelBackward:
         cfg, params, history, rng = self._setup(seed=5)
         _, cache = mixer.model_forward(history, cfg.temporal, params)
         upstream = rng.normal(size=(4, 4, 2))
-        g1 = mixer.model_backward(cache, upstream, params)
-        g2 = mixer.model_backward(cache, upstream, params)
+        g1 = mixer.batch_backward(cache, upstream[np.newaxis], params)
+        g2 = mixer.batch_backward(cache, upstream[np.newaxis], params)
         for (_, a), (_, b) in zip(tree.iter_leaves(g1), tree.iter_leaves(g2)):
             np.testing.assert_array_equal(a, b)
 
@@ -540,7 +540,7 @@ class TestModelBackward:
             return float((pred * upstream).sum())
 
         _, cache = mixer.model_forward(history, cfg.temporal, params)
-        grads = mixer.model_backward(cache, upstream, params)
+        grads = mixer.batch_backward(cache, upstream[np.newaxis], params)
         results = []
         for (path, g), (_, arr) in zip(tree.unique_leaves(grads), tree.unique_leaves(params)):
             numeric = central_diff(f, arr)
@@ -693,6 +693,39 @@ class TestForwardOnly:
         assert e.tobytes() == want_e.tobytes() and y.tobytes() == want_y.tobytes()
 
 
+class TestReusedCache:
+    """A forward that reuses a dead cache's temporal arrays is a fresh forward."""
+
+    @pytest.mark.parametrize("share_layers", [True, False])
+    @pytest.mark.parametrize("share_branches", [True, False])
+    def test_equals_a_fresh_forward_bitwise(self, share_layers, share_branches):
+        cfg = small_config(share_layers=share_layers, share_branches=share_branches)
+        params = mixer.build_params(cfg, 4, 4, 2, seed=15)
+        rng = np.random.default_rng(16)
+        randomise_leaves(params, rng)
+        maps = desk_history(rng)
+        dead_batch, batch = (gather_windows(maps, np.array(a), cfg.temporal)
+                             for a in ([8, 9, 12], [10, 19, 15]))
+        want_pred, want_cache = mixer.batch_forward(batch, params)
+
+        _, dead = mixer.batch_forward(dead_batch, params)
+        spare = [a for _, a in tree.iter_leaves(dead.temporal) if a.base is None]
+        del dead
+        for a in spare:
+            a.fill(np.nan)  # an entry the forward does not overwrite shows
+        with tensor.reusing(spare):
+            pred, cache = mixer.batch_forward(batch, params)
+
+        assert pred.tobytes() == want_pred.tobytes()
+        got, want = tree.iter_leaves(cache), tree.iter_leaves(want_cache)
+        for (path, a), (_, b) in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), path
+        # every xhat, h and cdf of the temporal caches is a spare array
+        kept = {id(a) for layers in cache.temporal if layers for layer in layers
+                for block in layer for a in (block.ln.xhat, block.h, block.cdf)}
+        assert len(kept) > 0 and kept <= set(map(id, spare))
+
+
 class TestSharing:
     def test_shared_layers_accumulate_across_applications(self):
         # gradient of a 2-deep shared stack must differ from a 1-deep stack
@@ -739,7 +772,7 @@ class TestSharing:
             return float((pred * upstream).sum())
 
         _, cache = mixer.model_forward(history, cfg.temporal, params)
-        grads = mixer.model_backward(cache, upstream, params)
+        grads = mixer.batch_backward(cache, upstream[np.newaxis], params)
         results = []
         for (_, g), (_, arr) in zip(tree.unique_leaves(grads), tree.unique_leaves(params)):
             numeric = central_diff(f, arr)

@@ -255,6 +255,53 @@ class TestMultiplyCounter:
         assert counter.count == 0
 
 
+class TestReusing:
+    def test_hands_each_array_out_once_by_exact_shape(self):
+        a, b, c = np.empty((2, 3)), np.empty((2, 3)), np.empty((3, 2))
+        with tensor.reusing([a, b, c, a]):  # a listed twice is still one array
+            first, second, third = (tensor._empty((2, 3)) for _ in range(3))
+            transposed = tensor._empty((3, 2))
+            flat = tensor._empty((6,))
+        assert {id(first), id(second)} == {id(a), id(b)}
+        assert all(third is not x for x in (a, b, c)) and third.shape == (2, 3)
+        assert transposed is c
+        assert flat.shape == (6,) and all(flat is not x for x in (a, b, c))
+
+    def test_only_the_innermost_block_hands_arrays_out(self):
+        outer, inner = np.empty(4), np.empty(4)
+        with tensor.reusing([outer]):
+            with tensor.reusing([inner]):
+                assert tensor._empty((4,)) is inner
+                assert tensor._empty((4,)) is not outer
+            assert tensor._empty((4,)) is outer
+
+    def test_kernels_take_the_arrays_a_cache_keeps_from_the_block(self):
+        rng = np.random.default_rng(9)
+        ln = tensor.LayerNormParams(gamma=rng.normal(size=5), beta=rng.normal(size=5))
+        p = tensor.mlp_block_init(5, 3, rng)
+        p.w_out[...] = rng.normal(size=p.w_out.shape)
+        rows, cols = rng.normal(size=(2, 4, 5)), rng.normal(size=(2, 5, 4))
+
+        def run():
+            """Every array the three kernels return, their caches' first."""
+            xn, (xhat, inv_std) = tensor.layernorm_fwd(rows, ln)
+            z, h, cdf = tensor.mlp_fwd(rows, p)
+            col_z, col_h, col_cdf = tensor.column_mlp_fwd(cols, p)
+            return [xhat, h, cdf, col_h, col_cdf, xn, inv_std, z, col_z]
+
+        want = run()
+        # spare arrays full of NaN: an entry that is not overwritten shows
+        spare = [np.full(shape, np.nan) for shape in
+                 ((2, 4, 5), (2, 4, 3), (2, 4, 3), (2, 3, 4), (2, 3, 4))]
+        with tensor.reusing(spare):
+            got = run()
+        assert sorted(map(id, got[:5])) == sorted(map(id, spare))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        # outside the block every kernel allocates afresh
+        assert all(a is not s for a in run() for s in spare)
+
+
 # ---------------------------------------------------------------------------
 # the kernels against the formulas they replaced, bit for bit
 

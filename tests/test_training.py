@@ -1,5 +1,6 @@
 """Tests for loss, Adam, anchor splitting and the training loop."""
 
+import contextlib
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -7,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from mlpst import checkpoint, mixer, training, tree
+from mlpst import checkpoint, mixer, tensor, training, tree
 from mlpst.errors import ConfigError, DataError
 from mlpst.gradcheck import central_diff, rel_errors
 from mlpst.griddata import TemporalConfig, apply_norm, invert_norm, slice_dependencies
@@ -409,3 +410,73 @@ def test_forward_only_batch_holds_no_backward_cache():
     forward_only = traced_peak(training.predict_batches, params, maps, anchors, cfg.temporal, 8)
     bound = 12 * 2**20
     assert forward_only < bound < cached / 4
+
+
+class TestOneCachePerStep:
+    """A train step holds one forward cache: the next forward reuses the
+    temporal part of the last one, and the rest is freed."""
+
+    # 16x16x2 at patch 2: d_T = 1024, and every frame is distinct, so the
+    # spatial cache is about two fifths of the whole
+    TEMPORAL = TemporalConfig(trend=2, period=2, closeness=4, trend_interval=8,
+                              period_interval=4, closeness_interval=1)
+    MODEL = mixer.ModelConfig(temporal=TEMPORAL, patch=2, channels_spatial=16,
+                              channels_temporal=2, expansion=1, n_layers=2)
+
+    def traced_train(self, monkeypatch, n_usable, reuse=True):
+        """Train one epoch at batch 8; ``(steps, peak, log lines)``.
+
+        ``steps`` holds ``(windows, live at entry, live at return)`` of each
+        training ``batch_forward``, in bytes.
+        """
+        data = synth("periodic", 16, 16, steps=16 + n_usable, seed=3, period=8, noise=0.1)
+        steps = []
+        real = training.batch_forward
+
+        def spy(branch_maps, params, keep_cache=True):
+            entry = tracemalloc.get_traced_memory()[0]
+            out = real(branch_maps, params, keep_cache)
+            if keep_cache:
+                steps.append((len(branch_maps[0]), entry, tracemalloc.get_traced_memory()[0]))
+            return out
+
+        monkeypatch.setattr(training, "batch_forward", spy)
+        if not reuse:
+            monkeypatch.setattr(tensor, "reusing", lambda arrays: contextlib.nullcontext())
+        tracemalloc.start()
+        try:
+            result = training.train(data.values, self.MODEL,
+                                    TrainConfig(batch_size=8, max_epochs=1, patience=5, seed=0),
+                                    LossConfig(q=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return steps, peak, result.log_lines
+
+    def test_later_steps_hold_one_cache_and_reuse_its_temporal_arrays(self, monkeypatch):
+        steps, _, _ = self.traced_train(monkeypatch, n_usable=35)  # 24 windows: 3 full batches
+        assert [n for n, _, _ in steps] == [8, 8, 8]
+        (_, base, first_end), *later = steps
+        cache = first_end - base  # the first step's cache, allocated afresh
+        for _, entry, end in later:
+            # seen: entry 0.63, return 1.02-1.04 and growth 0.39-0.41 caches;
+            # holding the previous step's cache read 1.01, 2.05 and 1.01
+            assert entry - base < 0.8 * cache
+            assert end - base < 1.2 * cache
+            # the temporal arrays, most of the cache, are not allocated again
+            assert end - entry < 0.6 * cache
+
+    def test_short_last_batch_drops_the_spare_and_trains_the_same(self, monkeypatch):
+        steps, peak, lines = self.traced_train(monkeypatch, n_usable=42)  # 29 windows
+        assert [n for n, _, _ in steps] == [8, 8, 8, 5]
+        (_, base, first_end), *_, (_, short_entry, _) = steps
+        cache = first_end - base
+        # a full-size spare beside the short batch's cache would read 0.6
+        # caches at its entry, and raise the run's peak by 0.11
+        assert short_entry - base < 0.05 * cache
+        monkeypatch.undo()
+        _, full_peak, _ = self.traced_train(monkeypatch, n_usable=35)  # no short batch
+        assert peak < full_peak + 0.05 * cache
+        monkeypatch.undo()
+        _, _, fresh_lines = self.traced_train(monkeypatch, n_usable=42, reuse=False)
+        assert lines == fresh_lines
