@@ -5,9 +5,10 @@ UTF-8 manifest of that length, then the raw float64 little-endian payload.
 The manifest has two sections:
 
 - ``[config]``   the complete run configuration, one line per ``RunConfig``
-  key. The grid geometry and every model and window key are read off the
-  saved parameters, so the section describes the parameter tree; the other
-  keys echo the caller's configuration.
+  key. The model and window keys are the config the parameters were built
+  from (``ModelParams.config``) and the grid is theirs, so the section
+  describes the parameter tree; the training and loss keys echo the
+  caller's configuration text.
 - ``[tensors]``  one ``path<TAB>shape<TAB>offset`` row per parameter path;
   shared parameters repeat their path but point at one payload offset.
   Offsets count bytes from the payload's start, are nonnegative, and the
@@ -18,8 +19,8 @@ describes (``build_params`` with ``seed=None``) and fills its leaves from the
 payload. Saving and loading check the rows against the skeleton in one way:
 the same paths, the same shapes, and two paths share an offset exactly when
 the skeleton shares their array. So a round trip is bit-exact and keeps the
-sharing topology, a tree that no config describes cannot be saved, and a
-file that does not match its config raises ``FormatError``.
+sharing topology, a tree that its own config does not describe cannot be
+saved, and a file that does not match its config raises ``FormatError``.
 
 Normalisation statistics ride along as ``stats.lo`` / ``stats.hi`` tensor
 rows; they are not trainable parameters and stay outside ``ModelParams``.
@@ -60,36 +61,6 @@ class Checkpoint:
     @property
     def config_text(self) -> str:
         return self.config.to_text()
-
-
-def _read_structure(params: ModelParams, temporal: TemporalConfig, cfg: RunConfig) -> RunConfig:
-    """``cfg`` with the grid and every model and window key read off ``params`` and ``temporal``.
-
-    A key the tree cannot show keeps ``cfg``'s value: the MLP widths of a
-    model without mixer layers, ``share_layers`` below two layers, and
-    ``share_branches`` without two branches of equal length.
-    """
-    sp = params.spatial
-    branches = [
-        b for b in (params.temporal_trend, params.temporal_period, params.temporal_closeness)
-        if b is not None
-    ]
-    kv = dataclasses.asdict(temporal) | dict(
-        h=params.grid_h, w=params.grid_w, d=params.grid_d, window=None,
-        patch=sp.patch, channels_spatial=sp.fc_w.shape[1],
-        layers=max(s.n_layers for s in [sp, *branches]),
-        variant=params.variant, predict_channel=params.predict_channel,
-    )
-    stacks = [s for s in [sp, *branches] if s.layers]
-    if stacks:  # every token MLP is `expansion` wide
-        kv["expansion"] = stacks[0].layers[0].token_mlp.w_in.shape[1]
-        if kv["layers"] > 1:
-            kv["share_layers"] = len(stacks[0].layers) == 1
-    if branches and branches[0].layers:
-        kv["channels_temporal"] = branches[0].layers[0].channel_mlp.w_in.shape[1]
-    if len({b.seq_len for b in branches}) < len(branches):
-        kv["share_branches"] = len({id(b) for b in branches}) < len(branches)
-    return dataclasses.replace(cfg, **kv)
 
 
 def _skeleton(cfg: RunConfig, with_stats: bool):
@@ -156,7 +127,14 @@ def save_checkpoint(
     config_text: str = "",
     stats: NormStats | None = None,
 ) -> None:
-    cfg = _read_structure(params, temporal, parse_config_text(config_text))
+    """Write ``params`` and ``stats`` atomically; ``temporal`` must be ``params.config``'s."""
+    if temporal != params.config.temporal:
+        raise ConfigError(f"window {temporal} is not the parameters' {params.config.temporal}")
+    echo = parse_config_text(config_text)
+    cfg = dataclasses.replace(
+        RunConfig.from_configs(params.config, echo.train_config(), echo.loss_config()),
+        h=params.grid_h, w=params.grid_w, d=params.grid_d,
+    )
     skeleton, _, expected = _skeleton(cfg, stats is not None)
     entries = list(tree.iter_leaves(params))
     if stats is not None:
@@ -169,11 +147,11 @@ def save_checkpoint(
     offsets = {id(arr): start for arr, start in zip(payload, starts)}
     rows = [(leaf_path, arr.shape, offsets[id(arr)]) for leaf_path, arr in entries]
     _match(expected, rows)
-    # the leaves match; the layer counts, sequence lengths and eps must too
+    # the leaves match; the layer counts and sequence lengths must too
     if tree.tree_map(np.shape, params) != tree.tree_map(np.shape, skeleton):
         raise FormatError(
-            "parameter tree has layer counts, sequence lengths or LayerNorm eps "
-            "that no model config describes"
+            "parameter tree has layer counts or sequence lengths that its model "
+            "config does not describe"
         )
 
     lines = ["[config]", *cfg.to_text().splitlines(), "[tensors]"]

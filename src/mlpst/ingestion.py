@@ -75,8 +75,8 @@ class GridSpec:
             raise ConfigError("bounding box must be nondegenerate")
         if self.h < 1 or self.w < 1:
             raise ConfigError("grid dimensions must be >= 1")
-        if self.interval_seconds <= 0:
-            raise ConfigError("interval_seconds must be positive")
+        if not 1 <= self.interval_seconds < 2**64:  # STGRID1 stores it as a u64
+            raise ConfigError(f"interval_seconds must be in [1, 2**64), got {self.interval_seconds}")
         if not self.t_end > self.t_start:
             raise ConfigError("time range must be nondegenerate")
 
@@ -332,7 +332,12 @@ def aggregate(blocks, spec: GridSpec, summary: IngestSummary | None = None
     spec.validate()
     if summary is None:
         summary = IngestSummary()
-    values = np.zeros((spec.n_intervals, spec.h, spec.w, 2))
+    shape = (spec.n_intervals, spec.h, spec.w, 2)
+    try:
+        values = np.zeros(shape)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
+        raise ConfigError(f"cannot allocate a grid of {' x '.join(map(str, shape))} values "
+                          f"({8 * math.prod(shape):.3g} bytes)") from None
     flat = values.reshape(-1)
     for block in blocks:
         pickup, pick_in = _cells(spec, block[:, 0], block[:, 2], block[:, 3])
@@ -520,6 +525,10 @@ def synth(
         raise ConfigError(f"unknown synthetic kind {kind!r} (expected one of {SYNTH_KINDS})")
     if h < 1 or w < 1 or steps < 1 or d < 1:
         raise ConfigError("synthetic dataset dimensions must be >= 1")
+    if not (math.isfinite(noise) and noise >= 0.0):
+        raise ConfigError(f"noise must be finite and >= 0, got {noise}")
+    if not 1 <= interval_seconds < 2**64:  # STGRID1 stores it as a u64
+        raise ConfigError(f"interval must be in [1, 2**64) seconds, got {interval_seconds}")
     rng = np.random.default_rng(seed)
 
     if kind == "constant":

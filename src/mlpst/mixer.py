@@ -19,7 +19,7 @@ branches of equal sequence length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +86,10 @@ class TemporalMixerParams:
 
 @dataclass
 class ModelParams:
-    """Full trainable parameter set plus the grid geometry it was built for."""
+    """Full trainable parameter set, its grid geometry and the config it was built from.
+
+    ``config`` is a copy of the one passed to :func:`build_params`; checkpoints record it.
+    """
 
     grid_h: int
     grid_w: int
@@ -100,8 +103,15 @@ class ModelParams:
     w_closeness: Array
     w_out: Array        # (d_T, out_dim) output head
     b_out: Array        # (out_dim,)
-    variant: str = "full"
-    predict_channel: int | None = None
+    config: ModelConfig
+
+    @property
+    def variant(self) -> str:
+        return self.config.variant
+
+    @property
+    def predict_channel(self) -> int | None:
+        return self.config.predict_channel
 
     @property
     def d_t(self) -> int:
@@ -215,8 +225,7 @@ def build_params(cfg: ModelConfig, h: int, w: int, d: int, seed) -> ModelParams:
         w_closeness=np.ones(d_t),
         w_out=init_params((d_t, out_dim), rng),
         b_out=np.zeros(out_dim),
-        variant=cfg.variant,
-        predict_channel=cfg.predict_channel,
+        config=replace(cfg),
     )
 
 
@@ -251,7 +260,7 @@ def token_mixing_bwd(
     dxn, grads = column_mlp_bwd(grad_u, layernorm_affine(cache.ln.xhat, ln), cache, mlp)
     dv, dgamma, dbeta = layernorm_bwd(dxn, cache.ln, ln)
     dv += grad_u
-    return dv, grads, LayerNormParams(gamma=dgamma, beta=dbeta, eps=ln.eps)
+    return dv, grads, LayerNormParams(gamma=dgamma, beta=dbeta)
 
 
 def mixer_layer_fwd(
@@ -314,7 +323,6 @@ def mixer_stack_bwd(
 
 class SpatialCache(NamedTuple):
     tokens: Array  # (..., N_P, P*P*d)
-    v_shape: tuple
     layer_caches: list[MixerLayerCache]
 
 
@@ -337,14 +345,14 @@ def spatial_mixer_fwd(
     e = y.reshape(*lead, -1)
     if not keep_cache:
         return e, None
-    return e, SpatialCache(tokens=tokens, v_shape=y.shape, layer_caches=caches)
+    return e, SpatialCache(tokens=tokens, layer_caches=caches)
 
 
 def spatial_mixer_bwd(
     grad_e: Array, cache: SpatialCache, p: SpatialMixerParams, grads: SpatialMixerParams
 ) -> None:
     """Accumulate spatial parameter gradients; input gradients are not needed."""
-    gy = grad_e.reshape(cache.v_shape)
+    gy = grad_e.reshape(*cache.tokens.shape[:-1], p.fc_w.shape[1])
     gv = mixer_stack_bwd(gy, cache.layer_caches, p.layers, p.n_layers, grads.layers)
     dw, db = dense_grads(cache.tokens, gv)
     grads.fc_w += dw
@@ -428,7 +436,6 @@ class ModelCache(NamedTuple):
     temporal: tuple[list[MixerLayerCache] | None, ...]  # per branch
     branch_last: tuple[Array | None, Array | None, Array | None]
     e_hat: Array
-    batch: int
 
 
 def _branch_params(params: ModelParams):
@@ -514,7 +521,6 @@ def batch_forward(
         temporal=tuple(temporal_caches),
         branch_last=branch_last,
         e_hat=e_hat,
-        batch=batch,
     )
     return pred, cache
 
@@ -540,7 +546,7 @@ def batch_backward(
         for _, leaf in tree.unique_leaves(grads):
             if leaf is not grads.w_out:
                 leaf.fill(0.0)
-    g_flat = grad_pred.reshape(cache.batch, -1)
+    g_flat = grad_pred.reshape(len(cache.inverse), -1)
 
     grads.b_out += g_flat.sum(axis=0)
     # a product with +0.0 accumulators never yields -0.0, so writing it
@@ -559,7 +565,7 @@ def batch_backward(
         last = cache.branch_last[i]
         gw = grad_weights[i]
         gw += (g_ehat * last).sum(axis=0)
-        g_seq = np.zeros((cache.batch, length, d_t))
+        g_seq = np.zeros((len(g_flat), length, d_t))
         g_seq[:, -1, :] = g_ehat * _fusion_weights(params)[i]
         if bp is not None:
             g_seq = temporal_mixer_bwd(g_seq, tcache, bp, gbp)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -178,11 +178,11 @@ def gelu_grad(x, cdf=None):
 
 @dataclass
 class LayerNormParams:
-    """Affine LayerNorm parameters over a fixed feature dimension."""
+    """Affine LayerNorm parameters over a fixed feature dimension; ``eps`` is a constant."""
 
     gamma: Array
     beta: Array
-    eps: float = 1e-5
+    eps: ClassVar[float] = 1e-5
 
 
 def layernorm_init(dim: int) -> LayerNormParams:
@@ -382,7 +382,7 @@ def mlp_block_bwd(
     dxn, grads = mlp_bwd(grad_y, layernorm_affine(cache.ln.xhat, ln), cache, p)
     dx, dgamma, dbeta = layernorm_bwd(dxn, cache.ln, ln)
     dx += grad_y
-    return dx, grads, LayerNormParams(gamma=dgamma, beta=dbeta, eps=ln.eps)
+    return dx, grads, LayerNormParams(gamma=dgamma, beta=dbeta)
 
 
 # ---------------------------------------------------------------------------

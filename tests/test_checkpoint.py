@@ -1,5 +1,6 @@
 """Tests for the MLPST1 checkpoint format."""
 
+import dataclasses
 import itertools
 import struct
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from mlpst import checkpoint, mixer, tensor, tree
-from mlpst.errors import FormatError
+from mlpst.errors import ConfigError, FormatError
 from mlpst.griddata import NormStats, TemporalConfig
 
 
@@ -335,6 +336,36 @@ def test_indescribable_tree_is_refused_at_save(tmp_path, edit):
     with pytest.raises(FormatError):
         checkpoint.save_checkpoint(path, params, cfg.temporal)
     assert not path.exists()
+
+
+def manifest_config(path) -> list[str]:
+    """The ``[config]`` lines of the checkpoint at ``path``."""
+    blob = path.read_bytes()
+    head = len(checkpoint.MAGIC)
+    (length,) = struct.unpack("<I", blob[head:head + 4])
+    lines = blob[head + 4:head + 4 + length].decode("utf-8").splitlines()
+    return lines[1:lines.index("[tensors]")]
+
+
+def test_window_other_than_the_params_own_is_refused_at_save(tmp_path):
+    cfg, params = build()
+    other = dataclasses.replace(cfg.temporal, period_interval=4)
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ConfigError) as info:
+        checkpoint.save_checkpoint(path, params, other, "seed=3\n")
+    assert "period_interval=4" in str(info.value) and "period_interval=3" in str(info.value)
+    assert not path.exists()
+
+
+def test_config_records_what_the_tree_cannot_show(tmp_path):
+    # without mixer layers no array is `expansion` wide; [config] still
+    # records the value the parameters were built with, not the default 8
+    cfg = mixer.ModelConfig(temporal=TemporalConfig(closeness=4, trend=0, period=0),
+                            expansion=5, n_layers=0)
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, mixer.build_params(cfg, 4, 4, 2, seed=0), cfg.temporal)
+    assert "expansion=5" in manifest_config(path)
+    assert checkpoint.load_checkpoint(path).params.config == cfg
 
 
 def test_evaluate_uses_the_checkpoints_own_window(tmp_path, capsys):

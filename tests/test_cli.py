@@ -135,6 +135,49 @@ def test_non_finite_spec_field_exits_3_naming_it(tmp_path, capsys, field, value)
     assert not (tmp_path / "o.stgrid").exists()
 
 
+@pytest.mark.parametrize("fields, message", [
+    # 582 TiB, beyond any x86-64 user address space: the allocation fails at once
+    ({"interval_seconds": 1, "t_end": 1e13},
+     "cannot allocate a grid of 10000000000000 x 2 x 2 x 2 values (6.4e+14 bytes)"),
+    # more bytes than numpy can count
+    ({"interval_seconds": 1, "t_end": 1e20},
+     "cannot allocate a grid of 100000000000000000000 x 2 x 2 x 2 values (6.4e+21 bytes)"),
+    # 5 intervals, but STGRID1 stores the interval as a u64
+    ({"interval_seconds": 2**64, "t_end": 1e20},
+     f"interval_seconds must be in [1, 2**64), got {2**64}"),
+], ids=["too many bytes", "too many values", "interval past u64"])
+def test_ingest_grid_it_cannot_hold_exits_3_with_one_line(tmp_path, capsys, fields, message):
+    trips = (TRIPS_HEADER + "10,20,0.2,0.2,0.8,0.8\n").encode()
+    assert ingest(tmp_path, trips, {**UNIT_SPEC, **fields}) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert not (tmp_path / "o.stgrid").exists()
+
+
+@pytest.mark.parametrize("option, value, code", [
+    ("--noise", "-1", 3),
+    ("--noise", "nan", 3),
+    ("--noise", "inf", 3),
+    ("--interval", "0", 3),
+    ("--interval", "-5", 3),
+    ("--interval", str(2**64), 3),
+    ("--noise", "0", 0),
+    ("--interval", "1", 0),
+    ("--interval", str(2**64 - 1), 0),
+])
+def test_synth_numeric_option_out_of_range_exits_3_naming_it(tmp_path, capsys, option, value, code):
+    out = tmp_path / "s.stgrid"
+    argv = ["synth", "--kind", "periodic", "--out", str(out), "--height", "2", "--width", "2",
+            "--steps", "30", "--period", "12", option, value]
+    assert run(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert err == [] and out.exists()
+    else:
+        assert len(err) == 1 and err[0].startswith(f"error: {option[2:]} must be")
+        assert not out.exists()
+
+
 def malformed_file_argv(tmp_path, synth_data, command, path):
     out = tmp_path / "out"
     return {

@@ -1,10 +1,12 @@
 """Module boundaries: no package module uses another module's private names,
-every function the benchmark's tracer wraps exists, and the arguments it
-reads are where it reads them."""
+the package imports no third-party module beyond numpy and one scipy
+function, every function the benchmark's tracer wraps exists, and the
+arguments it reads are where it reads them."""
 
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,6 +35,33 @@ def private_uses(path: Path) -> list[str]:
 
 def test_no_module_uses_another_modules_private_names():
     assert [use for path in sorted(SRC.glob("*.py")) for use in private_uses(path)] == []
+
+
+def third_party_imports() -> list[str]:
+    """``file: import`` for each import, at any depth, of a package outside the standard library."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] not in sys.stdlib_module_names for name in names):
+                found.append(f"{path.name}: {ast.unparse(node)}")
+    return found
+
+
+def test_third_party_imports_are_pinned():
+    # every workload's setup_s counts `import mlpst`; scipy.special alone
+    # costs about 0.3 s of it, so another scipy module, or a numpy
+    # submodule, is a measurable slowdown that must be chosen, not slipped in
+    imports = third_party_imports()
+    assert [line for line in imports if not line.endswith(": import numpy as np")] == [
+        "tensor.py: from scipy.special import erf"
+    ]
+    assert len(imports) > 1
 
 
 def traced_names() -> dict[str, tuple[str, ...]]:

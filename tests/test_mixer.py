@@ -1,5 +1,6 @@
 """Tests for the mixer model: layers, stacks, fusion, head, full fwd/bwd."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -869,6 +870,29 @@ class TestComplexityCounts:
         slope1 = (counts[ts[1]] - counts[ts[0]]) / (ts[1] - ts[0])
         slope2 = (counts[ts[2]] - counts[ts[1]]) / (ts[2] - ts[1])
         assert slope1 == slope2
+
+
+class TestParamsRecordTheirConfig:
+    def test_build_params_keeps_a_copy_of_its_config(self):
+        cfg = small_config(variant="mlp_sa", predict_channel=1, n_layers=0)
+        params = mixer.build_params(cfg, 4, 4, 2, seed=0)
+        assert params.config == cfg and params.config is not cfg
+        cfg.n_layers = 3  # the caller's object may change; the tree's copy does not
+        assert params.config.n_layers == 0
+
+    def test_tree_copy_and_zeros_keep_the_config(self):
+        params = mixer.build_params(small_config(share_branches=True), 4, 4, 2, seed=0)
+        for derived in (tree.tree_copy(params), tree.tree_zeros_like(params)):
+            assert derived.config == params.config
+
+    @pytest.mark.parametrize("variant, predict_channel", [("full", None), ("mlp_at", 1)])
+    def test_variant_and_predict_channel_read_the_config(self, variant, predict_channel):
+        names = {f.name for f in dataclasses.fields(mixer.ModelParams)}
+        assert "config" in names and not names & {"variant", "predict_channel"}
+        cfg = small_config(variant=variant, predict_channel=predict_channel)
+        params = mixer.build_params(cfg, 4, 4, 2, seed=0)
+        assert (params.variant, params.predict_channel) == (variant, predict_channel)
+        assert params.out_channels == (2 if predict_channel is None else 1)
 
 
 class TestTreeUtils:

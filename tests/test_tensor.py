@@ -1,5 +1,6 @@
 """Tests for the dense primitives and their hand-paired backward passes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,11 @@ class TestLayerNorm:
                 expected = p.gamma[j] * (row[j] - mean) / math.sqrt(var + p.eps) + p.beta[j]
                 assert y[i, j] == pytest.approx(expected, abs=1e-12)
 
+    def test_eps_is_a_constant_not_a_field(self):
+        names = [f.name for f in dataclasses.fields(tensor.LayerNormParams)]
+        assert names == ["gamma", "beta"]
+        assert tensor.layernorm_init(3).eps == 1e-5
+
     def test_dimension_mismatch(self):
         p = tensor.layernorm_init(4)
         with pytest.raises(ConfigError):
@@ -112,6 +118,15 @@ class TestMlpBlock:
         x = rng.normal(size=(5, 4))
         y, _ = tensor.mlp_block_fwd(x, p, ln)
         np.testing.assert_array_equal(y, x)
+
+    def test_gradient_container_has_the_constant_eps(self):
+        rng = np.random.default_rng(4)
+        p, ln = self._random_block(rng)
+        x = rng.normal(size=(5, 4))
+        _, cache = tensor.mlp_block_fwd(x, p, ln)
+        _, _, g_ln = tensor.mlp_block_bwd(rng.normal(size=(5, 4)), cache, p, ln)
+        assert g_ln.eps == 1e-5
+        assert [f.name for f in dataclasses.fields(g_ln)] == ["gamma", "beta"]
 
     def test_hand_sized_2_1_2_block(self):
         # single row through a 2 -> 1 -> 2 block, evaluated with scalar math
