@@ -22,8 +22,9 @@ the skeleton shares their array. So a round trip is bit-exact and keeps the
 sharing topology, a tree that its own config does not describe cannot be
 saved, and a file that does not match its config raises ``FormatError``.
 
-Normalisation statistics ride along as ``stats.lo`` / ``stats.hi`` tensor
-rows; they are not trainable parameters and stay outside ``ModelParams``.
+Every checkpoint carries the normalisation statistics as ``stats.lo`` /
+``stats.hi`` tensor rows; they are not trainable parameters and stay outside
+``ModelParams``. A file without them does not load.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from . import tree
 from .errors import ConfigError, FormatError
 from .fileio import atomic_open
 from .griddata import NormStats
-from .mixer import ModelParams, build_params
+from .mixer import ModelParams, build_params, check_window
 from .runconfig import RunConfig, TemporalConfig, parse_config_text
 
 MAGIC = b"MLPST1"
@@ -52,28 +53,21 @@ MAGIC = b"MLPST1"
 class Checkpoint:
     params: ModelParams
     config: RunConfig
-    stats: NormStats | None
+    stats: NormStats
 
     @property
     def temporal(self) -> TemporalConfig:
         return self.config.temporal_config()
 
-    @property
-    def config_text(self) -> str:
-        return self.config.to_text()
 
-
-def _skeleton(cfg: RunConfig, with_stats: bool):
+def _skeleton(cfg: RunConfig):
     """The zero-filled params and stats ``cfg`` describes, and their ``(path, array)`` leaves."""
     if None in (cfg.h, cfg.w, cfg.d):
         raise ConfigError("grid geometry h, w and d must be set")
     cfg.validate()
     params = build_params(cfg.model_config(), cfg.h, cfg.w, cfg.d, seed=None)
-    leaves = list(tree.iter_leaves(params))
-    stats = None
-    if with_stats:
-        stats = NormStats(lo=np.zeros(cfg.d), hi=np.zeros(cfg.d))
-        leaves += [("stats.lo", stats.lo), ("stats.hi", stats.hi)]
+    stats = NormStats(lo=np.zeros(cfg.d), hi=np.zeros(cfg.d))
+    leaves = [*tree.iter_leaves(params), ("stats.lo", stats.lo), ("stats.hi", stats.hi)]
     return params, stats, leaves
 
 
@@ -121,25 +115,21 @@ def _match(leaves, rows) -> list[tuple[np.ndarray, int]]:
 
 
 def save_checkpoint(
-    path,
-    params: ModelParams,
-    temporal: TemporalConfig,
-    config_text: str = "",
-    stats: NormStats | None = None,
+    path, params: ModelParams, temporal: TemporalConfig, config_text: str, stats: NormStats
 ) -> None:
     """Write ``params`` and ``stats`` atomically; ``temporal`` must be ``params.config``'s."""
-    if temporal != params.config.temporal:
-        raise ConfigError(f"window {temporal} is not the parameters' {params.config.temporal}")
+    check_window(params, temporal)
     echo = parse_config_text(config_text)
     cfg = dataclasses.replace(
         RunConfig.from_configs(params.config, echo.train_config(), echo.loss_config()),
         h=params.grid_h, w=params.grid_w, d=params.grid_d,
     )
-    skeleton, _, expected = _skeleton(cfg, stats is not None)
-    entries = list(tree.iter_leaves(params))
-    if stats is not None:
-        entries.append(("stats.lo", np.asarray(stats.lo, dtype=np.float64)))
-        entries.append(("stats.hi", np.asarray(stats.hi, dtype=np.float64)))
+    skeleton, _, expected = _skeleton(cfg)
+    entries = [
+        *tree.iter_leaves(params),
+        ("stats.lo", np.asarray(stats.lo, dtype=np.float64)),
+        ("stats.hi", np.asarray(stats.hi, dtype=np.float64)),
+    ]
 
     # each distinct array is stored once; shared leaves repeat its offset
     payload = [arr for _, arr in tree.unique_leaves([arr for _, arr in entries])]
@@ -241,7 +231,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise FormatError(f"checkpoint [config] has no key {f.name!r}")
         try:
             cfg = parse_config_text("\n".join(config_lines))
-            params, stats, expected = _skeleton(cfg, any(row[0] == "stats.lo" for row in rows))
+            params, stats, expected = _skeleton(cfg)
         except ConfigError as exc:
             raise FormatError(f"checkpoint [config]: {exc}") from None
         arrays = _match(expected, rows)

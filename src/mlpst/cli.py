@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, ingestion, mixer, training
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint
 from .errors import ConfigError, DataError
 from .fileio import atomic_open
 from .runconfig import RunConfig, TemporalConfig, parse_config_file, read_config_text
@@ -166,8 +166,6 @@ def cmd_evaluate(args) -> int:
         if not args.checkpoint:
             raise ConfigError("evaluate needs --checkpoint or --baseline")
         ckpt = load_checkpoint(args.checkpoint)
-        if ckpt.stats is None:
-            raise ConfigError("checkpoint carries no normalisation stats")
         anchors = _split_anchors(ckpt.config, dataset.n_steps, args.split)
         report = evaluation.evaluate_model(
             ckpt.params, ckpt.temporal, dataset.values, anchors, ckpt.stats,
@@ -189,8 +187,6 @@ def cmd_predict(args) -> int:
 
     header = ingestion.read_header(args.data)
     ckpt = load_checkpoint(args.checkpoint)
-    if ckpt.stats is None:
-        raise ConfigError("checkpoint carries no normalisation stats")
     anchor = args.at if args.at is not None else header.n_steps
     if anchor < 1 or anchor > header.n_steps:
         raise ConfigError(f"--at must be in [1, {header.n_steps}], got {anchor}")
@@ -198,7 +194,7 @@ def cmd_predict(args) -> int:
     # read, checked and normalised
     start = max(0, anchor - required_history(ckpt.temporal))
     history = apply_norm(ingestion.read_maps(args.data, header, start, anchor), ckpt.stats)
-    pred_norm, _ = mixer.model_forward(history, ckpt.temporal, ckpt.params, keep_cache=False)
+    pred_norm, _ = mixer.model_forward(history, ckpt.params, keep_cache=False)
     pred = invert_norm(
         pred_norm, stats_for_output(ckpt.stats, ckpt.params.predict_channel)
     )

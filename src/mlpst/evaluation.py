@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, MlpstError
 from .griddata import NormStats, apply_norm, invert_norm, required_history
-from .mixer import ModelParams, param_total
-from .runconfig import TemporalConfig
+from .mixer import ModelParams, check_window, param_total
+from .runconfig import TemporalConfig, TrainConfig
 from .training import predict_batches, select_target, stats_for_output
 
 Array = np.ndarray
@@ -157,8 +157,7 @@ def evaluate_model(
     maps: Array,
     anchors: Array,
     stats: NormStats,
-    batch_size: int = 64,
-    model_name: str = "mlpst",
+    batch_size: int = TrainConfig.batch_size,
     dataset_name: str = "dataset",
     train_seconds: float = 0.0,
 ) -> EvalReport:
@@ -167,8 +166,9 @@ def evaluate_model(
     Predictions are made in normalised space and inverted to the original
     scale before any metric is computed. Every anchor needs its full window
     and a target inside ``maps``; only the maps the windows read are
-    normalised.
+    normalised. ``temporal`` must be the window ``params`` were built for.
     """
+    check_window(params, temporal)
     anchors = np.asarray(anchors)
     if anchors.size == 0:
         raise ConfigError("empty test split: nothing to evaluate")
@@ -190,7 +190,7 @@ def evaluate_model(
     return _metrics_report(
         preds,
         targets,
-        model=model_name,
+        model="mlpst",
         dataset=dataset_name,
         params=param_total(params),
         train_s=train_seconds,
@@ -203,7 +203,7 @@ def evaluate_baseline(
     maps: Array,
     anchors: Array,
     period: int = 24,
-    batch_size: int = 64,
+    batch_size: int = TrainConfig.batch_size,
     dataset_name: str = "dataset",
 ) -> EvalReport:
     """Evaluate a naive baseline (original scale throughout)."""

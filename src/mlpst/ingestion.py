@@ -322,6 +322,15 @@ def _cells(spec: GridSpec, time: Array, lat: Array, lon: Array) -> tuple[Array, 
     return index.astype(np.int64), inside
 
 
+def _grid_zeros(shape: tuple[int, ...]) -> Array:
+    """``np.zeros(shape)``, or a :class:`ConfigError` naming the shape and its bytes."""
+    try:
+        return np.zeros(shape)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
+        raise ConfigError(f"cannot allocate a grid of {' x '.join(map(str, shape))} values "
+                          f"({8 * math.prod(shape):.3g} bytes)") from None
+
+
 def aggregate(blocks, spec: GridSpec, summary: IngestSummary | None = None
               ) -> tuple[GridDataset, IngestSummary]:
     """Fold trips into inflow/outflow grid maps.
@@ -332,12 +341,7 @@ def aggregate(blocks, spec: GridSpec, summary: IngestSummary | None = None
     spec.validate()
     if summary is None:
         summary = IngestSummary()
-    shape = (spec.n_intervals, spec.h, spec.w, 2)
-    try:
-        values = np.zeros(shape)
-    except (MemoryError, ValueError):  # ValueError: more bytes than an intp counts
-        raise ConfigError(f"cannot allocate a grid of {' x '.join(map(str, shape))} values "
-                          f"({8 * math.prod(shape):.3g} bytes)") from None
+    values = _grid_zeros((spec.n_intervals, spec.h, spec.w, 2))
     flat = values.reshape(-1)
     for block in blocks:
         pickup, pick_in = _cells(spec, block[:, 0], block[:, 2], block[:, 3])
@@ -529,12 +533,12 @@ def synth(
         raise ConfigError(f"noise must be finite and >= 0, got {noise}")
     if not 1 <= interval_seconds < 2**64:  # STGRID1 stores it as a u64
         raise ConfigError(f"interval must be in [1, 2**64) seconds, got {interval_seconds}")
+    values = _grid_zeros((steps, h, w, d))  # each kind fills it
     rng = np.random.default_rng(seed)
 
     if kind == "constant":
         # uniform level per channel, fixed across space and time
-        levels = rng.uniform(1.0, 10.0, size=d)
-        values = np.broadcast_to(levels, (steps, h, w, d)).copy()
+        values[...] = rng.uniform(1.0, 10.0, size=d)
     elif kind == "periodic":
         if period < 1:
             raise ConfigError("period must be >= 1")
@@ -547,7 +551,7 @@ def synth(
             amp = strength * _smooth(rng.normal(size=(h, w, d)))
             phase = np.pi * _smooth(rng.normal(size=(h, w, d)))
             cycle = cycle + amp * np.sin(2.0 * np.pi * k * s / period + phase)
-        values = cycle[np.arange(steps) % period]
+        np.take(cycle, np.arange(steps), axis=0, out=values, mode="wrap")
         if noise > 0.0:
             # the periodic kind's corruption is a structured Gaussian field
             # with short memory across phases and long memory across cycles
@@ -562,9 +566,9 @@ def synth(
         base = rng.uniform(1.0, 5.0, size=(h, w, d))
         slope = rng.uniform(0.0, 5.0 / steps, size=(h, w, d))
         ts = np.arange(steps).reshape(steps, 1, 1, 1)
-        values = base + slope * ts
+        np.multiply(slope, ts, out=values)
+        values += base
     else:  # diffusive
-        values = np.empty((steps, h, w, d))
         state = rng.uniform(2.0, 8.0, size=(h, w, d))
         values[0] = state
         for t in range(1, steps):

@@ -19,7 +19,7 @@ branches of equal sequence length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -73,15 +73,15 @@ class SpatialMixerParams:
     patch: int
     fc_w: Array  # (P*P*d, C_S) per-patch fully connected
     fc_b: Array  # (C_S,)
-    layers: list[MixerLayerParams] = field(default_factory=list)
-    n_layers: int = 0
+    layers: list[MixerLayerParams]
+    n_layers: int
 
 
 @dataclass
 class TemporalMixerParams:
     seq_len: int
-    layers: list[MixerLayerParams] = field(default_factory=list)
-    n_layers: int = 0
+    layers: list[MixerLayerParams]
+    n_layers: int
 
 
 @dataclass
@@ -106,16 +106,8 @@ class ModelParams:
     config: ModelConfig
 
     @property
-    def variant(self) -> str:
-        return self.config.variant
-
-    @property
     def predict_channel(self) -> int | None:
         return self.config.predict_channel
-
-    @property
-    def d_t(self) -> int:
-        return n_patches(self.grid_h, self.grid_w, self.spatial.patch) * self.spatial.fc_w.shape[1]
 
     @property
     def out_channels(self) -> int:
@@ -139,6 +131,12 @@ def mixer_layer_init(
     layer.token_mlp.w_out[:] = 0.0
     layer.channel_mlp.w_out[:] = 0.0
     return layer
+
+
+def check_window(params: ModelParams, temporal: TemporalConfig) -> None:
+    """Raise :class:`ConfigError` unless ``temporal`` is the window ``params`` were built for."""
+    if temporal != params.config.temporal:
+        raise ConfigError(f"window {temporal} is not the parameters' {params.config.temporal}")
 
 
 def _init_stack(
@@ -579,15 +577,17 @@ def batch_backward(
 
 
 def model_forward(
-    history: Array, cfg: TemporalConfig, params: ModelParams, keep_cache: bool = True
+    history: Array, params: ModelParams, keep_cache: bool = True
 ) -> tuple[Array, ModelCache | None]:
     """Predict the next grid map from a single history stack ``(T, H, W, d)``.
+
+    The branches are sliced from ``history`` with the parameters' own window.
 
     The cache, a one-window :func:`batch_backward` input, is kept unless
     ``keep_cache`` is false, in which case it is ``None`` (see
     :func:`batch_forward`).
     """
-    trend, period, closeness = slice_dependencies(history, cfg)
+    trend, period, closeness = slice_dependencies(history, params.config.temporal)
     branch_maps = tuple(m[np.newaxis] for m in (trend, period, closeness))
     pred, cache = batch_forward(branch_maps, params, keep_cache=keep_cache)
     return pred[0], cache

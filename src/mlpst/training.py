@@ -25,7 +25,7 @@ from .griddata import (
     invert_norm,
     required_history,
 )
-from .mixer import ModelParams, batch_backward, batch_forward, build_params
+from .mixer import ModelParams, batch_backward, batch_forward, build_params, check_window
 from .runconfig import LossConfig, ModelConfig, RunConfig, TemporalConfig, TrainConfig
 
 Array = np.ndarray
@@ -81,12 +81,12 @@ def _scratch() -> tuple[Array, Array]:
 class AdamState:
     m: ModelParams
     v: ModelParams
-    lr: float = 1e-3
+    lr: float
     step: int = 0
     scratch: tuple[Array, Array] = field(default_factory=_scratch, repr=False)
 
 
-def adam_init(params: ModelParams, lr: float = 1e-3) -> AdamState:
+def adam_init(params: ModelParams, lr: float = TrainConfig.lr) -> AdamState:
     return AdamState(m=tree.tree_zeros_like(params), v=tree.tree_zeros_like(params), lr=lr)
 
 
@@ -198,8 +198,10 @@ def predict_batches(
 ) -> Array:
     """Forward passes over anchors in batches; returns stacked predictions.
 
-    Forward only: no batch keeps a backward cache.
+    Forward only: no batch keeps a backward cache. ``cfg`` must be the
+    window ``params`` were built for.
     """
+    check_window(params, cfg)
     preds = []
     for start in range(0, len(anchors), batch_size):
         chunk = anchors[start : start + batch_size]

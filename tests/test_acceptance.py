@@ -135,10 +135,10 @@ def _model_results(seed):
         arr[...] = rng.normal(scale=0.5, size=arr.shape)
 
     def f():
-        pred, _ = mixer.model_forward(history, cfg.temporal, params)
+        pred, _ = mixer.model_forward(history, params)
         return float((pred * upstream).sum())
 
-    _, cache = mixer.model_forward(history, cfg.temporal, params)
+    _, cache = mixer.model_forward(history, params)
     grads = mixer.batch_backward(cache, upstream[np.newaxis], params)
     out = []
     for (_, g), (_, arr) in zip(tree.unique_leaves(grads), tree.unique_leaves(params)):

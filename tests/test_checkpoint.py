@@ -12,6 +12,8 @@ from mlpst import checkpoint, mixer, tensor, tree
 from mlpst.errors import ConfigError, FormatError
 from mlpst.griddata import NormStats, TemporalConfig
 
+STATS = NormStats(lo=np.array([0.5, 1.5]), hi=np.array([9.25, 3.75]))
+
 
 def build(variant="full", share_branches=False, share_layers=True):
     cfg = mixer.ModelConfig(
@@ -48,18 +50,18 @@ class TestRoundTrip:
         checkpoint.save_checkpoint(path, params, cfg.temporal, "seed=11\n", stats)
         loaded = checkpoint.load_checkpoint(path)
         assert_params_equal(params, loaded.params)
-        assert loaded.params.variant == variant
+        assert loaded.params.config.variant == variant
         assert loaded.temporal == cfg.temporal
-        assert "seed=11" in loaded.config_text
+        assert loaded.config.seed == 11
         np.testing.assert_array_equal(loaded.stats.lo, stats.lo)
         np.testing.assert_array_equal(loaded.stats.hi, stats.hi)
 
     def test_double_round_trip_identical_bytes(self, tmp_path):
         cfg, params = build()
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        checkpoint.save_checkpoint(p1, params, cfg.temporal)
+        checkpoint.save_checkpoint(p1, params, cfg.temporal, "", STATS)
         loaded = checkpoint.load_checkpoint(p1)
-        checkpoint.save_checkpoint(p2, loaded.params, loaded.temporal)
+        checkpoint.save_checkpoint(p2, loaded.params, loaded.temporal, "", loaded.stats)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_shared_branch_topology_restored(self, tmp_path):
@@ -72,7 +74,7 @@ class TestRoundTrip:
         )
         params = mixer.build_params(cfg, 4, 4, 2, seed=0)
         path = tmp_path / "m.ckpt"
-        checkpoint.save_checkpoint(path, params, cfg.temporal)
+        checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
         loaded = checkpoint.load_checkpoint(path)
         # trend and period share length 2: their arrays must be one object
         assert (
@@ -84,7 +86,7 @@ class TestRoundTrip:
     def test_geometry_round_trip(self, tmp_path):
         cfg, params = build()
         path = tmp_path / "m.ckpt"
-        checkpoint.save_checkpoint(path, params, cfg.temporal)
+        checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
         loaded = checkpoint.load_checkpoint(path)
         assert (loaded.params.grid_h, loaded.params.grid_w, loaded.params.grid_d) == (4, 6, 2)
         assert loaded.params.spatial.patch == 2
@@ -109,7 +111,7 @@ class TestRoundTrip:
                 share_branches=share_branches, predict_channel=predict_channel,
             )
             params = mixer.build_params(cfg, 4, 4, 2, seed=0)
-            checkpoint.save_checkpoint(path, params, temporal)
+            checkpoint.save_checkpoint(path, params, temporal, "", STATS)
             loaded = checkpoint.load_checkpoint(path).params
             assert_params_equal(params, loaded)
             assert tree.tree_map(np.shape, loaded) == tree.tree_map(np.shape, params)
@@ -132,7 +134,7 @@ class TestFormatErrors:
     def test_truncated_manifest(self, tmp_path):
         cfg, params = build()
         path = tmp_path / "m.ckpt"
-        checkpoint.save_checkpoint(path, params, cfg.temporal)
+        checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
         blob = path.read_bytes()
         (length,) = struct.unpack("<I", blob[6:10])
         path.write_bytes(blob[:20])
@@ -142,7 +144,7 @@ class TestFormatErrors:
     def test_truncated_payload(self, tmp_path):
         cfg, params = build()
         path = tmp_path / "m.ckpt"
-        checkpoint.save_checkpoint(path, params, cfg.temporal)
+        checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
         blob = path.read_bytes()
         (length,) = struct.unpack("<I", blob[6:10])
         payload = len(blob) - 10 - length
@@ -161,7 +163,7 @@ def test_load_reads_each_tensor_straight_into_its_leaf(tmp_path):
     params = mixer.build_params(cfg, 16, 16, 2, seed=8)
     stats = NormStats(lo=np.array([0.5, 1.5]), hi=np.array([9.25, 3.75]))
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, params, cfg.temporal, stats=stats)
+    checkpoint.save_checkpoint(path, params, cfg.temporal, "", stats)
     param_bytes = sum(arr.nbytes for _, arr in tree.unique_leaves(params))
 
     tracemalloc.start()
@@ -289,7 +291,7 @@ MALFORMED_MANIFESTS = [
 def test_malformed_manifest_is_a_format_error(tmp_path, edit, message):
     cfg, params = build(share_layers=False)
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, params, cfg.temporal)
+    checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
     checkpoint.load_checkpoint(path)  # the unedited file loads
     rewrite_manifest(path, edit)
     with pytest.raises(FormatError) as info:
@@ -308,8 +310,8 @@ def test_malformed_checkpoint_exits_2_with_one_line(tmp_path, capsys):
                  "--width", "6", "--steps", "60", "--period", "12", "--seed", "1"]) == 0
     path = tmp_path / "m.ckpt"
     for _, edit, message in MALFORMED_MANIFESTS:
-        checkpoint.save_checkpoint(path, params, cfg.temporal,
-                                   stats=NormStats(lo=np.zeros(2), hi=np.ones(2)))
+        checkpoint.save_checkpoint(path, params, cfg.temporal, "",
+                                   NormStats(lo=np.zeros(2), hi=np.ones(2)))
         rewrite_manifest(path, edit)
         capsys.readouterr()
         code = main(["predict", "--checkpoint", str(path), "--data", str(data),
@@ -317,6 +319,28 @@ def test_malformed_checkpoint_exits_2_with_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_checkpoint_without_stats_rows_exits_2_naming_them(tmp_path, capsys):
+    from mlpst.cli import main
+
+    cfg, params = build()
+    data = tmp_path / "d.stgrid"
+    assert main(["synth", "--kind", "periodic", "--out", str(data), "--height", "4",
+                 "--width", "6", "--steps", "60", "--period", "12", "--seed", "1"]) == 0
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
+    rewrite_manifest(path, lambda ls: [ln for ln in ls if not ln.startswith("stats.")])
+    out = tmp_path / "p.stgrid"
+    for argv in (
+        ["inspect", "--checkpoint", str(path)],
+        ["predict", "--data", str(data), "--checkpoint", str(path), "--out", str(out)],
+        ["evaluate", "--data", str(data), "--checkpoint", str(path)],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: checkpoint has no tensor stats.lo"]
+    assert not out.exists()
 
 
 # edits that leave a parameter tree no model config can describe
@@ -334,7 +358,7 @@ def test_indescribable_tree_is_refused_at_save(tmp_path, edit):
     edit(params)
     path = tmp_path / "m.ckpt"
     with pytest.raises(FormatError):
-        checkpoint.save_checkpoint(path, params, cfg.temporal)
+        checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
     assert not path.exists()
 
 
@@ -352,7 +376,7 @@ def test_window_other_than_the_params_own_is_refused_at_save(tmp_path):
     other = dataclasses.replace(cfg.temporal, period_interval=4)
     path = tmp_path / "m.ckpt"
     with pytest.raises(ConfigError) as info:
-        checkpoint.save_checkpoint(path, params, other, "seed=3\n")
+        checkpoint.save_checkpoint(path, params, other, "seed=3\n", STATS)
     assert "period_interval=4" in str(info.value) and "period_interval=3" in str(info.value)
     assert not path.exists()
 
@@ -363,7 +387,8 @@ def test_config_records_what_the_tree_cannot_show(tmp_path):
     cfg = mixer.ModelConfig(temporal=TemporalConfig(closeness=4, trend=0, period=0),
                             expansion=5, n_layers=0)
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, mixer.build_params(cfg, 4, 4, 2, seed=0), cfg.temporal)
+    params = mixer.build_params(cfg, 4, 4, 2, seed=0)
+    checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
     assert "expansion=5" in manifest_config(path)
     assert checkpoint.load_checkpoint(path).params.config == cfg
 
@@ -392,12 +417,12 @@ def test_evaluate_uses_the_checkpoints_own_window(tmp_path, capsys):
 def test_failed_save_keeps_old_file(tmp_path):
     cfg, params = build()
     path = tmp_path / "m.ckpt"
-    checkpoint.save_checkpoint(path, params, cfg.temporal)
+    checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
     old = path.read_bytes()
     # the manifest and the leading leaves are written before the last leaf
     # fails to convert to float64
     params.b_out = np.array(["x"] * params.b_out.size, dtype=object)
     with pytest.raises(ValueError):
-        checkpoint.save_checkpoint(path, params, cfg.temporal)
+        checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

@@ -154,6 +154,22 @@ def test_ingest_grid_it_cannot_hold_exits_3_with_one_line(tmp_path, capsys, fiel
     assert not (tmp_path / "o.stgrid").exists()
 
 
+@pytest.mark.parametrize("kind, steps, message", [
+    # 2.56 PB, beyond any x86-64 user address space: the allocation fails at once
+    ("constant", "10000000000000",
+     "cannot allocate a grid of 10000000000000 x 4 x 4 x 2 values (2.56e+15 bytes)"),
+    # more bytes than numpy can count
+    ("periodic", "100000000000000000",
+     "cannot allocate a grid of 100000000000000000 x 4 x 4 x 2 values (2.56e+19 bytes)"),
+], ids=["too many bytes", "too many values"])
+def test_synth_grid_it_cannot_hold_exits_3_with_one_line(tmp_path, capsys, kind, steps, message):
+    out = tmp_path / "s.stgrid"
+    assert run(["synth", "--kind", kind, "--out", str(out), "--height", "4", "--width", "4",
+                "--steps", steps]) == 3
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, value, code", [
     ("--noise", "-1", 3),
     ("--noise", "nan", 3),
@@ -400,7 +416,7 @@ class TestEvaluatePredictInspect:
         dataset = ingestion.read_dataset(synth_data)
         ckpt = load_checkpoint(trained)
         history = apply_norm(dataset.values[:100], ckpt.stats)
-        pred, _ = mixer.model_forward(history, ckpt.temporal, ckpt.params)
+        pred, _ = mixer.model_forward(history, ckpt.params)
         want = tmp_path / "want.stgrid"
         ingestion.write_dataset(want, ingestion.GridDataset(
             h=4, w=4, d=2, interval_seconds=dataset.interval_seconds, box=dataset.box,

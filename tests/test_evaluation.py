@@ -1,5 +1,6 @@
 """Tests for metrics, baselines and evaluation reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -183,6 +184,21 @@ class TestEvaluateAnchors:
     def test_anchor_outside_the_series_names_the_first(self, anchors, bad):
         with pytest.raises(DataError, match=rf"^anchor {bad} is outside \[4, 59\]"):
             evaluate_model(self.params, self.cfg.temporal, self.data.values, np.array(anchors), self.stats)
+
+    def test_window_other_than_the_params_own_is_refused(self):
+        # anchor 5 is too early for the wider window; the error names the
+        # windows, and predict_batches does not wrap the index round
+        other = dataclasses.replace(self.cfg.temporal, closeness_interval=2)
+        anchors = np.array([5, 20])
+        normed = apply_norm(self.data.values, self.stats)
+        for call in (
+            lambda: evaluate_model(self.params, other, self.data.values, anchors, self.stats),
+            lambda: training.predict_batches(self.params, normed, anchors, other, 8),
+        ):
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert "closeness_interval=2" in str(info.value)
+            assert "closeness_interval=1" in str(info.value)
 
     @pytest.mark.parametrize("anchors", [np.arange(4, 60), np.array([50, 20, 33, 20]), np.array([59])])
     def test_predictions_equal_whole_series_normalisation(self, monkeypatch, anchors):

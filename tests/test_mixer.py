@@ -416,7 +416,7 @@ class TestModelForward:
         cfg = small_config()
         params = mixer.build_params(cfg, 4, 4, 2, seed=0)
         history = desk_history(np.random.default_rng(0))
-        pred, _ = mixer.model_forward(history, cfg.temporal, params)
+        pred, _ = mixer.model_forward(history, params)
         assert pred.shape == (4, 4, 2)
 
     def test_mlp_sa_affine_in_last_closeness_step(self):
@@ -433,7 +433,7 @@ class TestModelForward:
         def predict(last_map):
             h = base.copy()
             h[-1] = last_map
-            pred, _ = mixer.model_forward(h, cfg.temporal, params)
+            pred, _ = mixer.model_forward(h, params)
             return pred
 
         m1 = rng.uniform(0, 1, size=(4, 4, 2))
@@ -448,7 +448,7 @@ class TestModelForward:
         params = mixer.build_params(cfg, 4, 4, 2, seed=0)
         history = desk_history(np.random.default_rng(0), h=6, w=6)
         with pytest.raises(ConfigError):
-            mixer.model_forward(history, cfg.temporal, params)
+            mixer.model_forward(history, params)
 
     def test_residual_collapse_to_fc_fusion_head(self):
         # zeroing every mixing MLP's output weights reduces the whole model
@@ -458,7 +458,7 @@ class TestModelForward:
         zero_out_weights(params)
         rng = np.random.default_rng(14)
         history = desk_history(rng)
-        pred, _ = mixer.model_forward(history, cfg.temporal, params)
+        pred, _ = mixer.model_forward(history, params)
 
         from mlpst.griddata import patchify, slice_dependencies
 
@@ -483,7 +483,7 @@ class TestModelBackward:
 
     def test_zero_upstream_grad_gives_zero_grads(self):
         cfg, params, history, _ = self._setup()
-        _, cache = mixer.model_forward(history, cfg.temporal, params)
+        _, cache = mixer.model_forward(history, params)
         grads = mixer.batch_backward(cache, np.zeros((4, 4, 2))[np.newaxis], params)
         for _, arr in tree.iter_leaves(grads):
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
@@ -496,7 +496,7 @@ class TestModelBackward:
         assert params.temporal_trend is None and params.temporal_period is None
         rng = np.random.default_rng(4)
         history = desk_history(rng)
-        _, cache = mixer.model_forward(history, cfg.temporal, params)
+        _, cache = mixer.model_forward(history, params)
         grads = mixer.batch_backward(cache, rng.normal(size=(4, 4, 2))[np.newaxis], params)
         np.testing.assert_array_equal(grads.w_trend, np.zeros_like(grads.w_trend))
         np.testing.assert_array_equal(grads.w_period, np.zeros_like(grads.w_period))
@@ -523,7 +523,7 @@ class TestModelBackward:
 
     def test_repeated_backward_identical(self):
         cfg, params, history, rng = self._setup(seed=5)
-        _, cache = mixer.model_forward(history, cfg.temporal, params)
+        _, cache = mixer.model_forward(history, params)
         upstream = rng.normal(size=(4, 4, 2))
         g1 = mixer.batch_backward(cache, upstream[np.newaxis], params)
         g2 = mixer.batch_backward(cache, upstream[np.newaxis], params)
@@ -537,10 +537,10 @@ class TestModelBackward:
         randomise_leaves(params, rng)
 
         def f():
-            pred, _ = mixer.model_forward(history, cfg.temporal, params)
+            pred, _ = mixer.model_forward(history, params)
             return float((pred * upstream).sum())
 
-        _, cache = mixer.model_forward(history, cfg.temporal, params)
+        _, cache = mixer.model_forward(history, params)
         grads = mixer.batch_backward(cache, upstream[np.newaxis], params)
         results = []
         for (path, g), (_, arr) in zip(tree.unique_leaves(grads), tree.unique_leaves(params)):
@@ -676,8 +676,8 @@ class TestForwardOnly:
         assert got.tobytes() == np.concatenate(want).tobytes()
 
         history = maps[:339]
-        cached, cache = mixer.model_forward(history, cfg.temporal, params)
-        lean, no_cache = mixer.model_forward(history, cfg.temporal, params, keep_cache=False)
+        cached, cache = mixer.model_forward(history, params)
+        lean, no_cache = mixer.model_forward(history, params, keep_cache=False)
         assert no_cache is None and cache is not None
         assert lean.tobytes() == cached.tobytes()
 
@@ -769,10 +769,10 @@ class TestSharing:
         assert params.temporal_trend is params.temporal_closeness
 
         def f():
-            pred, _ = mixer.model_forward(history, cfg.temporal, params)
+            pred, _ = mixer.model_forward(history, params)
             return float((pred * upstream).sum())
 
-        _, cache = mixer.model_forward(history, cfg.temporal, params)
+        _, cache = mixer.model_forward(history, params)
         grads = mixer.batch_backward(cache, upstream[np.newaxis], params)
         results = []
         for (_, g), (_, arr) in zip(tree.unique_leaves(grads), tree.unique_leaves(params)):
@@ -891,7 +891,7 @@ class TestParamsRecordTheirConfig:
         assert "config" in names and not names & {"variant", "predict_channel"}
         cfg = small_config(variant=variant, predict_channel=predict_channel)
         params = mixer.build_params(cfg, 4, 4, 2, seed=0)
-        assert (params.variant, params.predict_channel) == (variant, predict_channel)
+        assert (params.config.variant, params.predict_channel) == (variant, predict_channel)
         assert params.out_channels == (2 if predict_channel is None else 1)
 
 
