@@ -82,9 +82,11 @@ def _match(leaves, rows) -> list[tuple[np.ndarray, int]]:
     an offset exactly when their leaves are one array. Returns each distinct
     array with its offset.
     """
-    by_path = {path: (shape, offset) for path, shape, offset in rows}
-    if len(by_path) != len(rows):
-        raise FormatError("checkpoint lists a tensor path twice")
+    by_path = {}
+    for path, shape, offset in rows:
+        if path in by_path:
+            raise FormatError(f"checkpoint lists tensor {path} twice")
+        by_path[path] = shape, offset
     first_of_array: dict[int, str] = {}
     first_at_offset: dict[int, str] = {}
     out = []

@@ -49,7 +49,7 @@ def _load_gridspec(path) -> ingestion.GridSpec:
     try:
         data = json.loads(read_config_text(path))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad spec JSON: {exc}") from exc
+        raise ConfigError(f"{path}: bad spec JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: spec JSON must be an object, got {json.dumps(data)[:40]}")
     fields = {
@@ -133,6 +133,8 @@ def _split_anchors(cfg: RunConfig, n_steps: int, which: str):
 
 
 def cmd_evaluate(args) -> int:
+    if args.checkpoint and args.config:
+        raise ConfigError("--config applies only to --baseline; a --checkpoint carries its own")
     if args.baseline == "havg" and args.period < 1:
         raise ConfigError(f"--period must be >= 1, got {args.period}")
     dataset = ingestion.read_dataset(args.data)
@@ -163,8 +165,6 @@ def cmd_evaluate(args) -> int:
             dataset_name=_dataset_name(args.data),
         )
     else:
-        if not args.checkpoint:
-            raise ConfigError("evaluate needs --checkpoint or --baseline")
         ckpt = load_checkpoint(args.checkpoint)
         anchors = _split_anchors(ckpt.config, dataset.n_steps, args.split)
         report = evaluation.evaluate_model(
@@ -186,10 +186,10 @@ def cmd_predict(args) -> int:
     from .training import stats_for_output
 
     header = ingestion.read_header(args.data)
-    ckpt = load_checkpoint(args.checkpoint)
     anchor = args.at if args.at is not None else header.n_steps
     if anchor < 1 or anchor > header.n_steps:
         raise ConfigError(f"--at must be in [1, {header.n_steps}], got {anchor}")
+    ckpt = load_checkpoint(args.checkpoint)
     # the window needs only the last required_history maps, so only they are
     # read, checked and normalised
     start = max(0, anchor - required_history(ckpt.temporal))
@@ -210,12 +210,10 @@ def cmd_predict(args) -> int:
 def cmd_inspect(args) -> int:
     if args.checkpoint:
         params = load_checkpoint(args.checkpoint).params
-    elif args.config:
+    else:
         cfg = _load_config(args.config)
         h, w, d = cfg.h or 10, cfg.w or 20, cfg.d or 2
         params = mixer.build_params(cfg.model_config(), h, w, d, seed=cfg.seed)
-    else:
-        raise ConfigError("inspect needs --checkpoint or --config")
     counts = mixer.param_count(params)
     for group, count in counts.items():
         print(f"{group},{count}")
@@ -255,8 +253,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint or baseline on the test split")
     p.add_argument("--data", required=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--baseline", choices=("persistence", "havg"))
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--baseline", choices=("persistence", "havg"))
     p.add_argument("--config", help="config for split/window when using --baseline")
     p.add_argument("--period", type=int, default=24, help="phase length for --baseline havg")
     p.add_argument("--split", choices=("train", "val", "test"), default="test",
@@ -272,8 +271,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("inspect", help="print per-group parameter counts")
-    p.add_argument("--checkpoint")
-    p.add_argument("--config")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--config")
     p.set_defaults(func=cmd_inspect)
 
     return parser

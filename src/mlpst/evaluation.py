@@ -92,7 +92,8 @@ class EvalReport:
     params: int
     train_s: float
     infer_ms_per_batch: float
-    per_channel: list[tuple[float, float]] = field(default_factory=list)
+    # data channel -> (mae, rmse)
+    per_channel: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def csv_row(self) -> str:
         r2_text = "nan" if self.r2 is None else repr(self.r2)
@@ -113,7 +114,7 @@ class EvalReport:
             ("train_s", f"{self.train_s:.3f}"),
             ("infer_ms_per_batch", f"{self.infer_ms_per_batch:.3f}"),
         ]
-        for ch, (m, r) in enumerate(self.per_channel):
+        for ch, (m, r) in self.per_channel.items():
             rows.append((f"channel_{ch}", f"mae={m:.6f} rmse={r:.6f}"))
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
@@ -128,15 +129,16 @@ def _metrics_report(
     params: int,
     train_s: float,
     infer_ms: float,
+    first_channel: int = 0,
 ) -> EvalReport:
     try:
         r2_value: float | None = r2(preds, targets)
     except MetricUndefined:
         r2_value = None
-    per_channel = [
-        (mae(preds[..., c], targets[..., c]), rmse(preds[..., c], targets[..., c]))
+    per_channel = {
+        first_channel + c: (mae(preds[..., c], targets[..., c]), rmse(preds[..., c], targets[..., c]))
         for c in range(targets.shape[-1])
-    ]
+    }
     return EvalReport(
         model=model,
         dataset=dataset,
@@ -195,6 +197,7 @@ def evaluate_model(
         params=param_total(params),
         train_s=train_seconds,
         infer_ms=elapsed / n_batches * 1000.0,
+        first_channel=params.predict_channel or 0,
     )
 
 

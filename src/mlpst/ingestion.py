@@ -72,13 +72,14 @@ class GridSpec:
             if not math.isfinite(value):
                 raise ConfigError(f"spec field {name!r} must be finite, got {value}")
         if not (self.lat_max > self.lat_min and self.lon_max > self.lon_min):
-            raise ConfigError("bounding box must be nondegenerate")
+            raise ConfigError(f"spec needs lat_max > lat_min and lon_max > lon_min, got lat "
+                              f"{self.lat_min}..{self.lat_max}, lon {self.lon_min}..{self.lon_max}")
         if self.h < 1 or self.w < 1:
-            raise ConfigError("grid dimensions must be >= 1")
+            raise ConfigError(f"spec fields h and w must be >= 1, got h={self.h}, w={self.w}")
         if not 1 <= self.interval_seconds < 2**64:  # STGRID1 stores it as a u64
             raise ConfigError(f"interval_seconds must be in [1, 2**64), got {self.interval_seconds}")
         if not self.t_end > self.t_start:
-            raise ConfigError("time range must be nondegenerate")
+            raise ConfigError(f"spec needs t_end > t_start, got {self.t_start}..{self.t_end}")
 
     @property
     def n_intervals(self) -> int:
@@ -528,7 +529,7 @@ def synth(
     if kind not in SYNTH_KINDS:
         raise ConfigError(f"unknown synthetic kind {kind!r} (expected one of {SYNTH_KINDS})")
     if h < 1 or w < 1 or steps < 1 or d < 1:
-        raise ConfigError("synthetic dataset dimensions must be >= 1")
+        raise ConfigError(f"height, width, steps and channels must be >= 1, got {h}, {w}, {steps}, {d}")
     if not (math.isfinite(noise) and noise >= 0.0):
         raise ConfigError(f"noise must be finite and >= 0, got {noise}")
     if not 1 <= interval_seconds < 2**64:  # STGRID1 stores it as a u64
@@ -541,7 +542,7 @@ def synth(
         values[...] = rng.uniform(1.0, 10.0, size=d)
     elif kind == "periodic":
         if period < 1:
-            raise ConfigError("period must be >= 1")
+            raise ConfigError(f"period must be >= 1, got {period}")
         # per-cell periodic waveform: a harmonic mix over spatially smooth
         # parameter fields, so nearby cells carry related signals and the
         # within-period profile is richer than one sinusoid (rush-hour-like)

@@ -35,9 +35,6 @@ from .tensor import (
     column_mlp_bwd,
     column_mlp_fwd,
     dense_grads,
-    layernorm_affine,
-    layernorm_bwd,
-    layernorm_fwd,
     layernorm_init,
     matmul,
     mlp_block_bwd,
@@ -236,36 +233,15 @@ class MixerLayerCache(NamedTuple):
     channel: MlpBlockCache
 
 
-def token_mixing_fwd(
-    v: Array, mlp: MlpBlockParams, ln: LayerNormParams
-) -> tuple[Array, MlpBlockCache]:
-    """``u = v + mlp(layernorm(v)^T)^T`` for ``v`` of shape ``(..., tokens, channels)``.
-
-    LayerNorm runs per token over the channels; the MLP then mixes across
-    tokens, independently for each channel. The MLP's weights multiply from
-    the left, so nothing is transposed and every cached array is contiguous.
-    """
-    xn, ln_cache = layernorm_fwd(v, ln)
-    z, h, cdf = column_mlp_fwd(xn, mlp)
-    z += v
-    return z, MlpBlockCache(h=h, cdf=cdf, ln=ln_cache)
-
-
-def token_mixing_bwd(
-    grad_u: Array, cache: MlpBlockCache, mlp: MlpBlockParams, ln: LayerNormParams
-) -> tuple[Array, MlpBlockParams, LayerNormParams]:
-    """Backward of :func:`token_mixing_fwd`: ``(dv, mlp grads, layernorm grads)``."""
-    dxn, grads = column_mlp_bwd(grad_u, layernorm_affine(cache.ln.xhat, ln), cache, mlp)
-    dv, dgamma, dbeta = layernorm_bwd(dxn, cache.ln, ln)
-    dv += grad_u
-    return dv, grads, LayerNormParams(gamma=dgamma, beta=dbeta)
-
-
 def mixer_layer_fwd(
     v: Array, p: MixerLayerParams
 ) -> tuple[Array, MixerLayerCache]:
-    """Token mixing across the token axis, then channel mixing; shape preserved."""
-    u, token_cache = token_mixing_fwd(v, p.token_mlp, p.ln_tokens)
+    """Token mixing across the token axis, then channel mixing; shape preserved.
+
+    Both halves are one residual block. Token mixing runs it with the column
+    kernel, whose weights multiply from the left, so nothing is transposed.
+    """
+    u, token_cache = mlp_block_fwd(v, p.token_mlp, p.ln_tokens, column_mlp_fwd)
     y, channel_cache = mlp_block_fwd(u, p.channel_mlp, p.ln_channels)
     return y, MixerLayerCache(token=token_cache, channel=channel_cache)
 
@@ -275,7 +251,7 @@ def mixer_layer_bwd(
 ) -> Array:
     """Accumulate parameter gradients into ``grads`` and return dv."""
     du, g_ch, g_lnc = mlp_block_bwd(grad_y, cache.channel, p.channel_mlp, p.ln_channels)
-    dv, g_tok, g_lnt = token_mixing_bwd(du, cache.token, p.token_mlp, p.ln_tokens)
+    dv, g_tok, g_lnt = mlp_block_bwd(du, cache.token, p.token_mlp, p.ln_tokens, column_mlp_bwd)
     step = MixerLayerParams(token_mlp=g_tok, channel_mlp=g_ch, ln_tokens=g_lnt, ln_channels=g_lnc)
     for (_, acc), (_, g) in zip(tree.iter_leaves(grads), tree.iter_leaves(step), strict=True):
         acc += g
@@ -553,7 +529,7 @@ def batch_backward(
     g_ehat = matmul(g_flat, params.w_out.T)
 
     d_t = params.w_out.shape[0]
-    grad_weights = (grads.w_trend, grads.w_period, grads.w_closeness)
+    grad_weights = _fusion_weights(grads)
     branch_grads = []
     for i, (length, bp, gbp, tcache) in enumerate(
         zip(cache.lengths, _branch_params(params), _branch_params(grads), cache.temporal)

@@ -85,7 +85,7 @@ class TemporalConfig:
                 "use 0 or >= 2"
             )
         if self.window < 1:
-            raise ConfigError("input window t+p+c must be at least 1")
+            raise ConfigError("input window trend + period + closeness must be at least 1")
         if self.block_mode or not self.enforce_interval_order:
             return
         # only intervals of active branches are constrained

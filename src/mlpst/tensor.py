@@ -363,23 +363,28 @@ def column_mlp_bwd(
 
 
 def mlp_block_fwd(
-    x: Array, p: MlpBlockParams, ln: LayerNormParams
+    x: Array, p: MlpBlockParams, ln: LayerNormParams, mlp=mlp_fwd
 ) -> tuple[Array, MlpBlockCache]:
-    """``y = x + gelu(layernorm(x) @ w_in + b_in) @ w_out + b_out`` row-wise."""
+    """``y = x + mlp(layernorm(x))``, by default ``gelu(xn @ w_in + b_in) @ w_out + b_out``.
+
+    ``mlp`` is the kernel: :func:`mlp_fwd` mixes along the rows (channel
+    mixing), :func:`column_mlp_fwd` along the columns (token mixing).
+    """
     xn, ln_cache = layernorm_fwd(x, ln)
-    z, h, cdf = mlp_fwd(xn, p)
+    z, h, cdf = mlp(xn, p)
     z += x
     return z, MlpBlockCache(h=h, cdf=cdf, ln=ln_cache)
 
 
 def mlp_block_bwd(
-    grad_y: Array, cache: MlpBlockCache, p: MlpBlockParams, ln: LayerNormParams
+    grad_y: Array, cache: MlpBlockCache, p: MlpBlockParams, ln: LayerNormParams, mlp=mlp_bwd
 ) -> tuple[Array, MlpBlockParams, LayerNormParams]:
     """Return ``(dx, block grads, layernorm grads)`` for an upstream gradient.
 
-    Gradient containers reuse the parameter dataclasses (same shapes).
+    ``mlp`` is the backward of the forward's kernel. Gradient containers
+    reuse the parameter dataclasses (same shapes).
     """
-    dxn, grads = mlp_bwd(grad_y, layernorm_affine(cache.ln.xhat, ln), cache, p)
+    dxn, grads = mlp(grad_y, layernorm_affine(cache.ln.xhat, ln), cache, p)
     dx, dgamma, dbeta = layernorm_bwd(dxn, cache.ln, ln)
     dx += grad_y
     return dx, grads, LayerNormParams(gamma=dgamma, beta=dbeta)

@@ -340,7 +340,7 @@ def _token_mixing_count(n_patches, c_s=6, hidden=8):
     p = _random_mixer_layer(rng, n_patches, c_s, hidden)
     v = rng.normal(size=(n_patches, c_s))
     with tensor.count_multiplies() as counter:
-        mixer.token_mixing_fwd(v, p.token_mlp, p.ln_tokens)
+        tensor.mlp_block_fwd(v, p.token_mlp, p.ln_tokens, tensor.column_mlp_fwd)
     return counter.count
 
 

@@ -278,6 +278,10 @@ MALFORMED_MANIFESTS = [
      "bad [tensors] row 'spatial.fc_w\\t8x4\\t-16': negative offset"),
     ("overlapping offsets", move_offset("w_trend", lambda offsets: offsets["spatial.fc_w"] + 8),
      "checkpoint tensor w_trend overlaps spatial.fc_w in the payload"),
+    ("line before any section", lambda ls: ["stray"] + ls,
+     "checkpoint manifest line 'stray' is outside a section"),
+    ("tensor path listed twice", lambda ls: ls + [ln for ln in ls if ln.startswith("w_out\t")],
+     "checkpoint lists tensor w_out twice"),
     ("pre-change manifest with a [model] section",
      lambda ls: ["[model]", "grid_h=4", "grid_w=6", "grid_d=2", "spatial_n_layers=2"] + ls,
      "unknown section [model]"),
@@ -319,6 +323,7 @@ def test_malformed_checkpoint_exits_2_with_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert message in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "p.stgrid").exists()
 
 
 def test_checkpoint_without_stats_rows_exits_2_naming_them(tmp_path, capsys):

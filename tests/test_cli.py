@@ -211,11 +211,12 @@ def malformed_file_argv(tmp_path, synth_data, command, path):
     ("ingest", b"null", "spec JSON must be an object, got null"),
     ("ingest", b"[]", "spec JSON must be an object, got []"),
     ("ingest", b'{"lat_min": 0.\xff}', "not UTF-8 text (at byte 14)"),
+    ("ingest", b"not JSON", "bad spec JSON: Expecting value: line 1 column 1 (char 0)"),
     ("train", b"patch = 2\n\xff\n", "not UTF-8 text (at byte 10)"),
     ("inspect", b"patch = 2\n\xff\n", "not UTF-8 text (at byte 10)"),
     ("evaluate", b"patch = 2\n\xff\n", "not UTF-8 text (at byte 10)"),
-], ids=["spec 5", "spec null", "spec []", "spec 0xff", "train 0xff", "inspect 0xff",
-        "evaluate 0xff"])
+], ids=["spec 5", "spec null", "spec []", "spec 0xff", "spec not JSON", "train 0xff",
+        "inspect 0xff", "evaluate 0xff"])
 def test_malformed_spec_or_config_exits_3_with_one_line(
     tmp_path, synth_data, capsys, command, content, message
 ):
@@ -227,6 +228,63 @@ def test_malformed_spec_or_config_exits_3_with_one_line(
     assert captured.err.splitlines() == [f"error: {path}: {message}"]
     assert "epoch," not in captured.out
     assert not list(tmp_path.glob("out*"))
+
+
+INGEST = ["ingest", "--trips", "{tmp}/trips.csv", "--spec", "{tmp}/spec.json", "--out", "{tmp}/out"]
+SYNTH = ["synth", "--kind", "periodic", "--out", "{tmp}/out"]
+TRAIN = ["train", "--data", "{data}", "--config", "{tmp}/run.cfg", "--out", "{tmp}/out"]
+EVALUATE = ["evaluate", "--data", "{tmp}/absent.stgrid", "--report", "{tmp}/out"]  # a read exits 2
+
+
+def spec(**fields):
+    return {"spec.json": json.dumps({**UNIT_SPEC, **fields}).encode()}
+
+
+# argv, the files it reads, exit code, the text its one stderr line holds
+ERROR_PATHS = {
+    "predict --at 0": (["predict", "--data", "{data}", "--checkpoint", "{tmp}/absent.ckpt",
+                        "--at", "0", "--out", "{tmp}/out"], {}, 3, "--at must be in [1, 120], got 0"),
+    "spec h not a number": (INGEST, spec(h="two"), 3, "spec JSON field 'h' is invalid"),
+    "spec lat_max <= lat_min": (INGEST, spec(lat_max=0.0), 3, "lat_max > lat_min"),
+    "spec h = 0": (INGEST, spec(h=0), 3, "h and w must be >= 1, got h=0"),
+    "spec t_end <= t_start": (INGEST, spec(t_end=0), 3, "t_end > t_start"),
+    "synth --period 0": (SYNTH + ["--period", "0"], {}, 3, "period must be >= 1, got 0"),
+    "synth --height 0": (SYNTH + ["--height", "0"], {}, 3, "height, width, steps and channels"),
+    "STGRID1 cut in its header": (["predict", "--data", "{tmp}/cut.stgrid", "--checkpoint",
+                                   "{tmp}/absent.ckpt", "--out", "{tmp}/out"],
+                                  {"cut.stgrid": b"STGRID1" + bytes(13)}, 2, "(at byte 20)"),
+    "config line without =": (TRAIN, {"run.cfg": b"patch = 2\nlayers\n"}, 3,
+                              "config line 2 is not key=value: 'layers'"),
+    "empty window": (TRAIN, {"run.cfg": b"trend = 0\nperiod = 0\ncloseness = 0\n"}, 3,
+                     "trend + period + closeness"),
+    # flags that would be ignored are refused before any file is read
+    "evaluate --checkpoint --baseline": (
+        EVALUATE + ["--checkpoint", "m.ckpt", "--baseline", "havg"], {}, 3,
+        "argument --baseline: not allowed with argument --checkpoint"),
+    "evaluate --checkpoint --config": (
+        EVALUATE + ["--checkpoint", "m.ckpt", "--config", "run.cfg"], {}, 3,
+        "--config applies only to --baseline"),
+    "evaluate without a model": (
+        EVALUATE, {}, 3, "one of the arguments --checkpoint --baseline is required"),
+    "inspect --checkpoint --config": (
+        ["inspect", "--checkpoint", "m.ckpt", "--config", "run.cfg"], {}, 3,
+        "argument --config: not allowed with argument --checkpoint"),
+    "inspect without a model": (
+        ["inspect"], {}, 3, "one of the arguments --checkpoint --config is required"),
+}
+
+
+@pytest.mark.parametrize("argv, files, code, message", ERROR_PATHS.values(), ids=ERROR_PATHS.keys())
+def test_error_path_exits_with_one_line_naming_it(tmp_path, synth_data, capsys, argv, files,
+                                                  code, message):
+    (tmp_path / "trips.csv").write_text(TRIPS_HEADER + "10,20,0.2,0.2,0.8,0.8\n")
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    capsys.readouterr()
+    assert run([arg.format(tmp=tmp_path, data=synth_data) for arg in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 class TestIngestBadRows:
@@ -493,6 +551,40 @@ class TestEvaluatePredictInspect:
         assert run(["evaluate", "--data", str(synth_data), "--baseline", "havg", *extra]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "--period" in err[0]
+
+
+def test_predict_channel_rows_name_the_data_channel(synth_data, tiny_config, tmp_path, capsys):
+    from mlpst.checkpoint import load_checkpoint
+    from mlpst.griddata import NormStats, apply_norm, invert_norm
+
+    cfg = tmp_path / "channel1.cfg"
+    cfg.write_text(tiny_config.read_text() + "predict_channel = 1\n")
+    ckpt_path = tmp_path / "model.ckpt"
+    assert run(["train", "--data", str(synth_data), "--config", str(cfg),
+                "--out", str(ckpt_path)]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", "--data", str(synth_data), "--checkpoint", str(ckpt_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out if line.startswith("channel_")] == ["channel_1"]
+
+    ckpt = load_checkpoint(ckpt_path)
+    maps = ingestion.read_dataset(synth_data).values
+    lo, hi = ckpt.stats.lo[1:], ckpt.stats.hi[1:]
+    assert not (np.array_equal(lo, ckpt.stats.lo[:1]) and np.array_equal(hi, ckpt.stats.hi[:1]))
+    anchors = training.split_anchors(len(maps), ckpt.temporal, ckpt.config.split,
+                                     ckpt.config.min_history).test
+    preds = training.predict_batches(ckpt.params, apply_norm(maps, ckpt.stats), anchors,
+                                     ckpt.temporal, ckpt.config.batch_size)
+    want_mae = np.abs(invert_norm(preds, NormStats(lo, hi)) - maps[anchors][..., 1:]).mean()
+    assert float(out[1].split(",")[2]) == want_mae
+
+    pred_path = tmp_path / "pred.stgrid"
+    assert run(["predict", "--data", str(synth_data), "--checkpoint", str(ckpt_path),
+                "--at", "100", "--out", str(pred_path)]) == 0
+    pred = ingestion.read_dataset(pred_path)
+    assert pred.d == 1
+    want, _ = mixer.model_forward(apply_norm(maps[:100], ckpt.stats), ckpt.params)
+    np.testing.assert_array_equal(pred.values[0], invert_norm(want, NormStats(lo, hi)))
 
 
 def write_with_value(src, dst, step, value):

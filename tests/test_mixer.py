@@ -194,6 +194,15 @@ def transposed_token_mixing(v, mlp, ln, grad_u):
     return u, (grad_u + dx_ln, dw_in, db_in, dw_out, db_out, dgamma, dbeta)
 
 
+def token_mixing_fwd(v, p):
+    """The token half of mixer layer ``p``: its residual block with the column kernel."""
+    return tensor.mlp_block_fwd(v, p.token_mlp, p.ln_tokens, tensor.column_mlp_fwd)
+
+
+def token_mixing_bwd(grad_u, cache, p):
+    return tensor.mlp_block_bwd(grad_u, cache, p.token_mlp, p.ln_tokens, tensor.column_mlp_bwd)
+
+
 def cache_arrays(node):
     if isinstance(node, np.ndarray):
         return [node]
@@ -201,7 +210,7 @@ def cache_arrays(node):
 
 
 class TestTokenMixingLayout:
-    """``token_mixing_fwd/bwd`` against the transposed formulation."""
+    """The token half's block with the column kernel against the transposed formulation."""
 
     @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 3)])
     @pytest.mark.parametrize("n_tok, n_ch, hidden", [(1, 1, 1), (1, 5, 3), (6, 1, 2), (5, 7, 4), (12, 20, 8)])
@@ -210,8 +219,8 @@ class TestTokenMixingLayout:
         p = random_layer(rng, n_tok, n_ch, hidden=hidden)
         v = rng.normal(size=lead + (n_tok, n_ch))
         grad_u = rng.normal(size=v.shape)
-        u, cache = mixer.token_mixing_fwd(v, p.token_mlp, p.ln_tokens)
-        dv, g_mlp, g_ln = mixer.token_mixing_bwd(grad_u, cache, p.token_mlp, p.ln_tokens)
+        u, cache = token_mixing_fwd(v, p)
+        dv, g_mlp, g_ln = token_mixing_bwd(grad_u, cache, p)
         ref_u, ref_grads = transposed_token_mixing(v, p.token_mlp, p.ln_tokens, grad_u)
         got = (dv, g_mlp.w_in, g_mlp.b_in, g_mlp.w_out, g_mlp.b_out, g_ln.gamma, g_ln.beta)
         assert u.shape == v.shape
@@ -224,18 +233,18 @@ class TestTokenMixingLayout:
 
     def test_layernorm_backward_gets_contiguous_gradient(self, monkeypatch):
         seen = []
-        real = mixer.layernorm_bwd
+        real = tensor.layernorm_bwd
 
         def spy(grad_y, cache, p):
             seen.append(grad_y.flags.c_contiguous)
             return real(grad_y, cache, p)
 
-        monkeypatch.setattr(mixer, "layernorm_bwd", spy)
+        monkeypatch.setattr(tensor, "layernorm_bwd", spy)
         rng = np.random.default_rng(3)
         p = random_layer(rng, 4, 6, hidden=3)
         v = rng.normal(size=(2, 4, 6))
-        _, cache = mixer.token_mixing_fwd(v, p.token_mlp, p.ln_tokens)
-        mixer.token_mixing_bwd(rng.normal(size=v.shape), cache, p.token_mlp, p.ln_tokens)
+        _, cache = token_mixing_fwd(v, p)
+        token_mixing_bwd(rng.normal(size=v.shape), cache, p)
         assert seen == [True]
 
     def test_second_backward_identical_and_cache_unmodified(self):
@@ -243,10 +252,10 @@ class TestTokenMixingLayout:
         p = random_layer(rng, 5, 3, hidden=2)
         v = rng.normal(size=(2, 5, 3))
         grad_u = rng.normal(size=v.shape)
-        _, cache = mixer.token_mixing_fwd(v, p.token_mlp, p.ln_tokens)
+        _, cache = token_mixing_fwd(v, p)
         kept = [a.copy() for a in cache_arrays(cache)]
-        first = mixer.token_mixing_bwd(grad_u, cache, p.token_mlp, p.ln_tokens)
-        second = mixer.token_mixing_bwd(grad_u, cache, p.token_mlp, p.ln_tokens)
+        first = token_mixing_bwd(grad_u, cache, p)
+        second = token_mixing_bwd(grad_u, cache, p)
         np.testing.assert_array_equal(first[0], second[0])
         for (_, a), (_, b) in zip(tree.iter_leaves(first[1:]), tree.iter_leaves(second[1:])):
             np.testing.assert_array_equal(a, b)
@@ -258,7 +267,7 @@ def test_cache_keeps_no_layernorm_output_and_backward_recomputes_it_bitwise():
     rng = np.random.default_rng(6)
     p = random_layer(rng, 5, 7, hidden=3)
     v = rng.normal(size=(2, 5, 7))
-    u, _ = mixer.token_mixing_fwd(v, p.token_mlp, p.ln_tokens)
+    u, _ = token_mixing_fwd(v, p)
     _, cache = mixer.mixer_layer_fwd(v, p)
     for x, block, ln in ((v, cache.token, p.ln_tokens), (u, cache.channel, p.ln_channels)):
         xn, _ = tensor.layernorm_fwd(x, ln)
@@ -835,7 +844,7 @@ class TestComplexityCounts:
         p = random_layer(rng, n_patches, c_s, hidden=hidden)
         v = rng.normal(size=(n_patches, c_s))
         with tensor.count_multiplies() as counter:
-            mixer.token_mixing_fwd(v, p.token_mlp, p.ln_tokens)
+            token_mixing_fwd(v, p)
         return counter.count
 
     def test_token_mixing_linear_in_patch_count(self):
