@@ -135,8 +135,11 @@ def _split_anchors(cfg: RunConfig, n_steps: int, which: str):
 def cmd_evaluate(args) -> int:
     if args.checkpoint and args.config:
         raise ConfigError("--config applies only to --baseline; a --checkpoint carries its own")
-    if args.baseline == "havg" and args.period < 1:
-        raise ConfigError(f"--period must be >= 1, got {args.period}")
+    if args.period is not None and args.baseline != "havg":
+        raise ConfigError("--period applies only to --baseline havg")
+    period = 24 if args.period is None else args.period
+    if args.baseline == "havg" and period < 1:
+        raise ConfigError(f"--period must be >= 1, got {period}")
     dataset = ingestion.read_dataset(args.data)
     if args.baseline:
         if args.config:
@@ -145,23 +148,23 @@ def cmd_evaluate(args) -> int:
         else:
             # without a config, a baseline only needs its own warm-up
             cfg = RunConfig()
-            warm = args.period if args.baseline == "havg" else 1
+            warm = period if args.baseline == "havg" else 1
             minimal = TemporalConfig(trend=0, period=0, closeness=1)
             try:
                 parts = training.split_anchors(dataset.n_steps, minimal, cfg.split, warm)
             except ConfigError as exc:
                 if args.baseline != "havg":
                     raise
-                raise DataError(f"--period {args.period} is too long for the series: {exc}") from exc
+                raise DataError(f"--period {period} is too long for the series: {exc}") from exc
             anchors = getattr(parts, args.split)
-        if args.baseline == "havg" and args.period > anchors.min():
+        if args.baseline == "havg" and period > anchors.min():
             raise DataError(
-                f"--period {args.period} is longer than the {anchors.min()} maps "
+                f"--period {period} is longer than the {anchors.min()} maps "
                 f"before the first {args.split} anchor"
             )
         report = evaluation.evaluate_baseline(
             args.baseline, dataset.values, anchors,
-            period=args.period, batch_size=cfg.batch_size,
+            period=period, batch_size=cfg.batch_size,
             dataset_name=_dataset_name(args.data),
         )
     else:
@@ -257,7 +260,7 @@ def _build_parser() -> _Parser:
     source.add_argument("--checkpoint")
     source.add_argument("--baseline", choices=("persistence", "havg"))
     p.add_argument("--config", help="config for split/window when using --baseline")
-    p.add_argument("--period", type=int, default=24, help="phase length for --baseline havg")
+    p.add_argument("--period", type=int, help="phase length for --baseline havg (default 24)")
     p.add_argument("--split", choices=("train", "val", "test"), default="test",
                    help="which chronological split to evaluate on")
     p.add_argument("--report", help="write the CSV report to this file")

@@ -264,6 +264,12 @@ ERROR_PATHS = {
     "evaluate --checkpoint --config": (
         EVALUATE + ["--checkpoint", "m.ckpt", "--config", "run.cfg"], {}, 3,
         "--config applies only to --baseline"),
+    "evaluate --checkpoint --period": (
+        EVALUATE + ["--checkpoint", "m.ckpt", "--period", "5"], {}, 3,
+        "--period applies only to --baseline havg"),
+    "evaluate --baseline persistence --period": (
+        EVALUATE + ["--baseline", "persistence", "--period", "5"], {}, 3,
+        "--period applies only to --baseline havg"),
     "evaluate without a model": (
         EVALUATE, {}, 3, "one of the arguments --checkpoint --baseline is required"),
     "inspect --checkpoint --config": (
