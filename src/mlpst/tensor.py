@@ -325,9 +325,7 @@ def mlp_bwd(
     dh = matmul(grad_z, p.w_out.T)
     dh *= gelu_grad(cache.h, cache.cdf)
     dw_in, db_in = dense_grads(xn, dh)
-    # numpy multiplies by a contiguous (hidden, in_dim) copy faster than by
-    # the transposed view, and to the same bits
-    dxn = matmul(dh, np.ascontiguousarray(p.w_in.T))
+    dxn = matmul(dh, p.w_in.T)
     return dxn, MlpBlockParams(w_in=dw_in, b_in=db_in, w_out=dw_out, b_out=db_out)
 
 

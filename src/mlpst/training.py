@@ -271,7 +271,6 @@ def train(
 
     result = TrainResult(params=params, stats=stats, anchors=parts)
     grads = tree.tree_zeros_like(params)  # refilled by every step's backward pass
-    best_params = None  # copied at the first improving epoch, then refilled
     since_best = 0
 
     val_targets_raw = select_target(maps[parts.val], params.predict_channel)
@@ -317,12 +316,7 @@ def train(
         if val_mae < result.best_val_mae:
             result.best_val_mae = val_mae
             result.best_epoch = epoch
-            if best_params is None:
-                best_params = tree.tree_copy(params)
-            else:
-                pairs = zip(tree.unique_leaves(best_params), tree.unique_leaves(params), strict=True)
-                for (_, best), (_, now) in pairs:
-                    np.copyto(best, now)
+            best_params = tree.tree_copy(params)
             since_best = 0
             if checkpoint_path is not None:
                 save_checkpoint(

@@ -358,41 +358,6 @@ class TestTrainLoop:
         mae = float(np.abs(pred_raw - data.values[result.anchors.val]).mean())
         assert mae == result.best_val_mae
 
-    def test_one_best_tree_is_copied_once_and_refilled(self, tmp_path, monkeypatch):
-        # the lr 0.1 run above: several epochs improve, and the last does not
-        copies, live, saved = [], [], []
-        real_copy, real_step, real_save = tree.tree_copy, training.adam_step, training.save_checkpoint
-
-        def counting_copy(t):
-            copies.append(t)
-            return real_copy(t)
-
-        def spied_step(params, grads, state):
-            live[:] = [params]
-            return real_step(params, grads, state)
-
-        def leaf_bytes(params):
-            return [a.tobytes() for _, a in tree.iter_leaves(params)]
-
-        def recording_save(path, params, *args):
-            if str(path).endswith(".best"):  # the best tree equals the live one
-                assert params is not live[0] and leaf_bytes(params) == leaf_bytes(live[0])
-                saved.append(leaf_bytes(params))
-            return real_save(path, params, *args)
-
-        monkeypatch.setattr(tree, "tree_copy", counting_copy)
-        monkeypatch.setattr(training, "adam_step", spied_step)
-        monkeypatch.setattr(training, "save_checkpoint", recording_save)
-        data = synth("periodic", 4, 4, steps=120, seed=12, period=12)
-        out = tmp_path / "model.ckpt"
-        tc = TrainConfig(batch_size=16, max_epochs=4, patience=10, seed=0, lr=0.1)
-        result = training.train(data.values, tiny_model_cfg(), tc, LossConfig(q=2),
-                                checkpoint_path=str(out))
-        assert len(saved) >= 2 and result.best_epoch < len(result.history)
-        assert len(copies) == 1
-        assert leaf_bytes(result.params) == saved[-1]
-        assert out.read_bytes() == (tmp_path / "model.ckpt.best").read_bytes()
-
 
 def traced_peak(fn, *args, **kwargs) -> int:
     """Bytes of the highest live ``tracemalloc`` total during ``fn(*args, **kwargs)``."""
