@@ -90,16 +90,17 @@ class EvalReport:
     r2: float | None
     n_samples: int
     params: int
-    train_s: float
+    train_s: float | None  # None: unknown, as for a loaded checkpoint
     infer_ms_per_batch: float
     # data channel -> (mae, rmse)
     per_channel: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def csv_row(self) -> str:
         r2_text = "nan" if self.r2 is None else repr(self.r2)
+        train_text = "nan" if self.train_s is None else f"{self.train_s:.3f}"
         return (
             f"{self.model},{self.dataset},{self.mae!r},{self.rmse!r},{r2_text},"
-            f"{self.params},{self.train_s:.3f},{self.infer_ms_per_batch:.3f}"
+            f"{self.params},{train_text},{self.infer_ms_per_batch:.3f}"
         )
 
     def table(self) -> str:
@@ -111,7 +112,7 @@ class EvalReport:
             ("rmse", f"{self.rmse:.6f}"),
             ("r2", "undefined" if self.r2 is None else f"{self.r2:.6f}"),
             ("parameters", str(self.params)),
-            ("train_s", f"{self.train_s:.3f}"),
+            ("train_s", "unknown" if self.train_s is None else f"{self.train_s:.3f}"),
             ("infer_ms_per_batch", f"{self.infer_ms_per_batch:.3f}"),
         ]
         for ch, (m, r) in self.per_channel.items():
@@ -127,7 +128,7 @@ def _metrics_report(
     model: str,
     dataset: str,
     params: int,
-    train_s: float,
+    train_s: float | None,
     infer_ms: float,
     first_channel: int = 0,
 ) -> EvalReport:
@@ -161,7 +162,7 @@ def evaluate_model(
     stats: NormStats,
     batch_size: int = TrainConfig.batch_size,
     dataset_name: str = "dataset",
-    train_seconds: float = 0.0,
+    train_seconds: float | None = None,
 ) -> EvalReport:
     """Evaluate a trained model on raw maps over the given anchors.
 
@@ -169,6 +170,8 @@ def evaluate_model(
     scale before any metric is computed. Every anchor needs its full window
     and a target inside ``maps``; only the maps the windows read are
     normalised. ``temporal`` must be the window ``params`` were built for.
+    ``train_seconds`` is the training time to report; ``None`` (a loaded
+    checkpoint records none) is reported as unknown.
     """
     check_window(params, temporal)
     anchors = np.asarray(anchors)

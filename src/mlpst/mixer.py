@@ -486,7 +486,8 @@ def batch_forward(
     )
     if not keep_cache:
         return pred, None
-    branch_last = tuple(None if m is None else m[:, -1, :] for m in mixed)
+    # copies: a view of the last step would pin the whole (B, len, d_T) output
+    branch_last = tuple(None if m is None else m[:, -1, :].copy() for m in mixed)
     cache = ModelCache(
         lengths=lengths,
         spatial=spatial_cache,
@@ -546,6 +547,7 @@ def batch_backward(
         branch_grads.append(g_seq)
 
     g_e_all = np.concatenate(branch_grads, axis=1).reshape(-1, d_t)
+    del branch_grads, g_seq  # the concatenation holds their values
     g_frames = np.zeros((cache.n_frames, d_t))
     np.add.at(g_frames, cache.inverse.reshape(-1), g_e_all)  # each frame sums its positions
     spatial_mixer_bwd(g_frames, cache.spatial, params.spatial, grads.spatial)

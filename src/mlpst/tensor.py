@@ -12,9 +12,9 @@ A cache owns the arrays it holds, so its caller may hand them to the next
 forward pass once the backward pass is done: inside :func:`reusing`, the
 allocation sites whose results a cache keeps take an array of their shape
 from the given ones instead of a new one. They are ``xhat`` in
-:func:`layernorm_fwd`, ``cdf`` in :func:`normal_cdf` as the MLP kernels
-call it, and ``h`` in :func:`mlp_fwd`. :func:`column_mlp_fwd` keeps no
-``h``: its backward pass rebuilds it from the LayerNorm output.
+:func:`layernorm_fwd` and ``cdf`` in :func:`normal_cdf` as the MLP kernels
+call it. Neither MLP kernel keeps its ``h``: its backward pass rebuilds it
+from the LayerNorm output.
 
 Conventions:
 
@@ -280,11 +280,11 @@ class MlpBlockCache(NamedTuple):
 
     The MLP's input, the LayerNorm output ``xn``, is not kept: the backward
     pass recomputes it from ``ln.xhat`` with :func:`layernorm_affine`. Nor
-    is the column kernel's ``h``, which is one product away from ``xn``.
+    is the pre-activation ``h``, which each kernel's backward pass rebuilds
+    from ``xn`` with the product its forward pass used.
     """
 
-    h: Array | None   # pre-activation hidden; None for the column kernel
-    cdf: Array        # normal_cdf(h); the GELU output is h * cdf
+    cdf: Array  # normal_cdf(h); the GELU output is h * cdf
     ln: LayerNormCache
 
 
@@ -302,28 +302,48 @@ def _check_mlp(p: MlpBlockParams, in_features: int) -> None:
         )
 
 
-def mlp_fwd(xn: Array, p: MlpBlockParams) -> tuple[Array, Array, Array]:
-    """``z = gelu(xn @ w_in + b_in) @ w_out + b_out`` row-wise; returns ``(z, h, cdf)``.
+def _row_hidden(xn: Array, p: MlpBlockParams) -> Array:
+    """The row kernel's pre-activation ``h = xn @ w_in + b_in``, a new array.
+
+    Both row passes build ``h`` here, so the backward pass rebuilds
+    bitwise the forward's.
+    """
+    h = matmul(xn, p.w_in)
+    h += p.b_in
+    return h
+
+
+def mlp_fwd(xn: Array, p: MlpBlockParams) -> tuple[Array, Array]:
+    """``z = gelu(xn @ w_in + b_in) @ w_out + b_out`` row-wise; returns ``(z, cdf)``.
 
     The bare two-layer MLP, without LayerNorm or residual add; ``cdf`` is
-    ``normal_cdf(h)``, kept for the backward pass.
+    ``normal_cdf(h)``, kept for the backward pass, and ``h`` is not kept.
     """
     _check_mlp(p, xn.shape[-1])
-    h = matmul(xn, p.w_in, out=_empty(xn.shape[:-1] + p.w_in.shape[1:]))
-    h += p.b_in
+    h = _row_hidden(xn, p)
     cdf = normal_cdf(h)
     z = matmul(h * cdf, p.w_out)
     z += p.b_out
-    return z, h, cdf
+    return z, cdf
 
 
 def mlp_bwd(
     grad_z: Array, xn: Array, cache: MlpBlockCache, p: MlpBlockParams
 ) -> tuple[Array, MlpBlockParams]:
-    """Backward of :func:`mlp_fwd` at input ``xn``: ``(dxn, block grads)``."""
-    dw_out, db_out = dense_grads(cache.h * cache.cdf, grad_z)
+    """Backward of :func:`mlp_fwd` at input ``xn``: ``(dxn, block grads)``.
+
+    ``h`` is rebuilt from ``xn``. At most two hidden-sized arrays are alive
+    at once: ``h`` (then the GELU output) and the GELU derivative, then the
+    derivative and ``dh``.
+    """
+    h = _row_hidden(xn, p)
+    g = gelu_grad(h, cache.cdf)
+    h *= cache.cdf  # the GELU output
+    dw_out, db_out = dense_grads(h, grad_z)
+    del h
     dh = matmul(grad_z, p.w_out.T)
-    dh *= gelu_grad(cache.h, cache.cdf)
+    dh *= g
+    del g
     dw_in, db_in = dense_grads(xn, dh)
     dxn = matmul(dh, p.w_in.T)
     return dxn, MlpBlockParams(w_in=dw_in, b_in=db_in, w_out=dw_out, b_out=db_out)
@@ -340,13 +360,13 @@ def _column_hidden(xn: Array, p: MlpBlockParams) -> Array:
     return h
 
 
-def column_mlp_fwd(xn: Array, p: MlpBlockParams) -> tuple[Array, None, Array]:
+def column_mlp_fwd(xn: Array, p: MlpBlockParams) -> tuple[Array, Array]:
     """:func:`mlp_fwd` applied to every column of ``xn`` ``(..., rows, cols)``.
 
     The weights multiply from the left, so the result keeps the input's
     layout: ``z = w_out^T gelu(w_in^T xn + b_in) + b_out`` with the biases
-    broadcast along the columns. Returns ``(z, None, cdf)``, ``cdf`` of
-    shape ``(..., hidden, cols)``: ``h`` is not kept.
+    broadcast along the columns. Returns ``(z, cdf)``, ``cdf`` of shape
+    ``(..., hidden, cols)``: ``h`` is not kept.
     """
     _check_mlp(p, xn.shape[-2])
     h = _column_hidden(xn, p)
@@ -355,7 +375,7 @@ def column_mlp_fwd(xn: Array, p: MlpBlockParams) -> tuple[Array, None, Array]:
     # the bench's forecast-taxibj rounds at 429 MB peak RSS against 393 MB
     z = matmul(p.w_out.T, h * cdf)
     z += p.b_out[:, None]
-    return z, None, cdf
+    return z, cdf
 
 
 def column_mlp_bwd(
@@ -363,18 +383,21 @@ def column_mlp_bwd(
 ) -> tuple[Array, MlpBlockParams]:
     """Backward of :func:`column_mlp_fwd` at input ``xn``: ``(dxn, block grads)``.
 
-    ``h`` is rebuilt from ``xn``. Weight gradients are batched products
-    summed over the leading axes; bias gradients sum over the leading axes
-    first, which adds whole contiguous slabs, then along the columns.
+    ``h`` is rebuilt from ``xn``, and the hidden-sized arrays live as in
+    :func:`mlp_bwd`. Weight gradients are batched products summed over the
+    leading axes; bias gradients sum over the leading axes first, which
+    adds whole contiguous slabs, then along the columns.
     """
     lead = tuple(range(grad_z.ndim - 2))
     h = _column_hidden(xn, p)
-    dh = matmul(p.w_out, grad_z)
-    dh *= gelu_grad(h, cache.cdf)
+    g = gelu_grad(h, cache.cdf)
     h *= cache.cdf  # the GELU output
     dw_out = matmul(h, np.swapaxes(grad_z, -1, -2)).sum(axis=lead)
     del h
     db_out = grad_z.sum(axis=lead).sum(axis=-1)
+    dh = matmul(p.w_out, grad_z)
+    dh *= g
+    del g
     dw_in = matmul(xn, np.swapaxes(dh, -1, -2)).sum(axis=lead)
     db_in = dh.sum(axis=lead).sum(axis=-1)
     dxn = matmul(p.w_in, dh)
@@ -390,9 +413,9 @@ def mlp_block_fwd(
     mixing), :func:`column_mlp_fwd` along the columns (token mixing).
     """
     xn, ln_cache = layernorm_fwd(x, ln)
-    z, h, cdf = mlp(xn, p)
+    z, cdf = mlp(xn, p)
     z += x
-    return z, MlpBlockCache(h=h, cdf=cdf, ln=ln_cache)
+    return z, MlpBlockCache(cdf=cdf, ln=ln_cache)
 
 
 def mlp_block_bwd(

@@ -416,6 +416,19 @@ class TestEvaluatePredictInspect:
         body = report.read_text().splitlines()
         assert len(body) == 2
 
+    @pytest.mark.parametrize("source, train_s, table_train_s", [
+        ("--checkpoint", "nan", "unknown"),  # a checkpoint records no training time
+        ("--baseline", "0.000", "0.000"),     # a baseline trains nothing
+    ])
+    def test_evaluate_reports_train_s_by_source(self, synth_data, trained, capsys,
+                                                source, train_s, table_train_s):
+        value = str(trained) if source == "--checkpoint" else "persistence"
+        assert run(["evaluate", "--data", str(synth_data), source, value]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header, row = lines[0].split(","), lines[1].split(",")
+        assert row[header.index("train_s")] == train_s
+        assert re.search(rf"^train_s\s+{re.escape(table_train_s)}$", "\n".join(lines), re.M)
+
     def test_failed_report_write_keeps_old_report(self, synth_data, tmp_path, monkeypatch):
         from mlpst import evaluation
 

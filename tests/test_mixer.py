@@ -204,8 +204,6 @@ def token_mixing_bwd(grad_u, cache, p):
 
 
 def cache_arrays(node):
-    if node is None:  # a column block's h
-        return []
     if isinstance(node, np.ndarray):
         return [node]
     return [a for item in node for a in cache_arrays(item)]
@@ -277,39 +275,67 @@ def test_cache_keeps_no_layernorm_output_and_backward_recomputes_it_bitwise():
         assert all(a.tobytes() != xn.tobytes() for a in cache_arrays(block))
 
 
-@pytest.mark.parametrize("lead, n_tok, n_ch, hidden", [
-    ((), 2, 5, 8), ((4,), 2, 40, 8), ((3,), 8, 6, 8), ((2, 3), 12, 7, 3), ((5,), 50, 16, 8),
-])
-def test_token_mixing_backward_rebuilds_the_forwards_h_bitwise(monkeypatch, lead, n_tok, n_ch, hidden):
-    # the column kernel hands h to normal_cdf in the forward pass and its
-    # rebuilt h to gelu_grad in the backward pass
+def spy_hidden(monkeypatch):
+    """Record each ``h`` an MLP kernel hands to ``normal_cdf`` and to ``gelu_grad``.
+
+    Both kernels hand ``h`` to ``normal_cdf`` in the forward pass and their
+    rebuilt ``h`` to ``gelu_grad`` in the backward pass.
+    """
     built, rebuilt = [], []
     real_cdf, real_grad = tensor.normal_cdf, tensor.gelu_grad
     monkeypatch.setattr(tensor, "normal_cdf", lambda x: built.append(x.copy()) or real_cdf(x))
     monkeypatch.setattr(tensor, "gelu_grad",
                         lambda x, cdf=None: rebuilt.append(x.copy()) or real_grad(x, cdf))
+    return built, rebuilt
+
+
+def assert_rebuilt_bitwise(cache, built, rebuilt, shape):
+    assert all(a.tobytes() != built[0].tobytes() for a in cache_arrays(cache))  # no h kept
+    assert len(built) == len(rebuilt) == 1
+    assert built[0].shape == shape
+    assert rebuilt[0].tobytes() == built[0].tobytes()
+
+
+@pytest.mark.parametrize("lead, n_tok, n_ch, hidden", [
+    ((), 2, 5, 8), ((4,), 2, 40, 8), ((3,), 8, 6, 8), ((2, 3), 12, 7, 3), ((5,), 50, 16, 8),
+])
+def test_token_mixing_backward_rebuilds_the_forwards_h_bitwise(monkeypatch, lead, n_tok, n_ch, hidden):
+    built, rebuilt = spy_hidden(monkeypatch)
     rng = np.random.default_rng(n_tok * 100 + hidden)
     p = random_layer(rng, n_tok, n_ch, hidden=hidden)
     v = rng.normal(size=lead + (n_tok, n_ch))
     _, cache = token_mixing_fwd(v, p)
     token_mixing_bwd(rng.normal(size=v.shape), cache, p)
-    assert cache.h is None
-    assert len(built) == len(rebuilt) == 1
-    assert built[0].shape == lead + (hidden, n_ch)
-    assert rebuilt[0].tobytes() == built[0].tobytes()
+    assert_rebuilt_bitwise(cache, built, rebuilt, lead + (hidden, n_ch))
+
+
+@pytest.mark.parametrize("lead, n_tok, n_ch, hidden", [
+    ((6,), 4, 20, 8),    # spatial: 8 hidden units over 20 channels
+    ((3,), 8, 100, 20),  # temporal: 20 hidden units over d_T channels
+])
+def test_channel_mixing_backward_rebuilds_the_forwards_h_bitwise(monkeypatch, lead, n_tok, n_ch, hidden):
+    built, rebuilt = spy_hidden(monkeypatch)
+    rng = np.random.default_rng(n_ch * 100 + hidden)
+    p = random_layer(rng, n_tok, n_ch, hidden=hidden)
+    u = rng.normal(size=lead + (n_tok, n_ch))
+    _, cache = tensor.mlp_block_fwd(u, p.channel_mlp, p.ln_channels)
+    tensor.mlp_block_bwd(rng.normal(size=u.shape), cache, p.channel_mlp, p.ln_channels)
+    assert_rebuilt_bitwise(cache, built, rebuilt, lead + (n_tok, hidden))
 
 
 @pytest.mark.parametrize("share_layers", [True, False])
-def test_only_channel_mixing_blocks_keep_h(share_layers):
+def test_no_block_cache_holds_h(monkeypatch, share_layers):
+    built, _ = spy_hidden(monkeypatch)
     cfg = small_config(share_layers=share_layers)
     params = mixer.build_params(cfg, 4, 4, 2, seed=17)
+    randomise_leaves(params, np.random.default_rng(19))
     maps = desk_history(np.random.default_rng(18))
     _, cache = mixer.batch_forward(gather_windows(maps, np.array([10, 12]), cfg.temporal), params)
     layers = cache.spatial.layer_caches + [c for t in cache.temporal if t for c in t]
     assert len(layers) == 4 * cfg.n_layers
-    for layer in layers:
-        assert layer.token.h is None and layer.token.cdf is not None
-        assert layer.channel.h.shape == layer.channel.cdf.shape
+    assert len(built) == 2 * len(layers)  # one h per block
+    hs = {h.tobytes() for h in built}
+    assert all(a.tobytes() not in hs for _, a in tree.iter_leaves(cache))
 
 
 def small_config(**kw):
@@ -768,10 +794,10 @@ class TestReusedCache:
         for (path, a), (_, b) in zip(got, want, strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), path
         # every array the temporal caches keep is a spare one: xhat and cdf
-        # of each block, and h of the channel-mixing blocks
+        # of each block
         kept = {id(a) for layers in cache.temporal if layers for layer in layers
                 for a in (layer.token.ln.xhat, layer.token.cdf,
-                          layer.channel.ln.xhat, layer.channel.h, layer.channel.cdf)}
+                          layer.channel.ln.xhat, layer.channel.cdf)}
         assert len(kept) > 0 and kept <= set(map(id, spare))
 
 
