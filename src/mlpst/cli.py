@@ -37,7 +37,9 @@ from . import evaluation, ingestion, mixer, training
 from .checkpoint import load_checkpoint
 from .errors import ConfigError, DataError
 from .fileio import atomic_open
+from .griddata import apply_norm, invert_norm, required_history
 from .runconfig import RunConfig, TemporalConfig, parse_config_file, read_config_text
+from .training import stats_for_output
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,9 +187,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .griddata import apply_norm, invert_norm, required_history
-    from .training import stats_for_output
-
     header = ingestion.read_header(args.data)
     anchor = args.at if args.at is not None else header.n_steps
     if anchor < 1 or anchor > header.n_steps:

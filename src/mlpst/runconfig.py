@@ -10,7 +10,8 @@ the grid geometry ``h``/``w``/``d`` and the optional ``window`` check. Each
 ``validate`` checks every field's declared rule, then the cross-field rules.
 
 Text format: lines are ``key = value``; ``#`` starts a comment; blank lines
-are ignored. Unknown keys and unconvertible values are configuration errors.
+are ignored. Unknown keys, repeated keys and unconvertible values are
+configuration errors.
 Checkpoints store the same text, so ``parse_config_text(cfg.to_text())``
 round-trips.
 """
@@ -292,6 +293,7 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 def parse_config_text(text: str) -> RunConfig:
     cfg = RunConfig()
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -302,6 +304,9 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"config line {lineno} is not key=value: {raw!r}")
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
+        if key in seen:
+            raise ConfigError(f"config key {key!r} is set twice (lines {seen[key]} and {lineno})")
+        seen[key] = lineno
         try:
             setattr(cfg, key, _PARSERS[_FIELDS[key].type](value.strip()))
         except ValueError as exc:

@@ -8,13 +8,8 @@ multiplies for complexity measurements. There is no autodiff tape; each
 cache is kept is the caller's choice: training keeps every one until the
 backward pass, while forward-only callers (``mixer.batch_forward`` with
 ``keep_cache=False``) drop a mixer layer's caches when the layer returns.
-A cache owns the arrays it holds, so its caller may hand them to the next
-forward pass once the backward pass is done: inside :func:`reusing`, the
-allocation sites whose results a cache keeps take an array of their shape
-from the given ones instead of a new one. They are ``xhat`` in
-:func:`layernorm_fwd` and ``cdf`` in :func:`normal_cdf` as the MLP kernels
-call it. Neither MLP kernel keeps its ``h``: its backward pass rebuilds it
-from the LayerNorm output.
+Neither MLP kernel keeps its ``h``: its backward pass rebuilds it from the
+LayerNorm output.
 
 Conventions:
 
@@ -100,43 +95,6 @@ def dense_grads(x: Array, grad: Array) -> tuple[Array, Array]:
 
 
 # ---------------------------------------------------------------------------
-# reused cache arrays
-
-
-_spare: dict[tuple[int, ...], list[Array]] | None = None
-
-
-@contextmanager
-def reusing(arrays):
-    """Let the cached allocations inside the ``with`` block reuse ``arrays``.
-
-    :func:`_empty` hands each array out at most once, to a request of
-    exactly its shape; what has no taker stays with the caller. The arrays
-    must be float64, C-contiguous and dead: every one handed out is
-    overwritten. Only the innermost active block hands arrays out.
-    """
-    global _spare
-    previous = _spare
-    pool: dict[tuple[int, ...], list[Array]] = {}
-    for a in {id(a): a for a in arrays}.values():  # an array listed twice is one array
-        pool.setdefault(a.shape, []).append(a)
-    _spare = pool
-    try:
-        yield
-    finally:
-        _spare = previous
-
-
-def _empty(shape: tuple[int, ...]) -> Array:
-    """An uninitialised float64 array: a spare one inside :func:`reusing`."""
-    if _spare:
-        free = _spare.get(shape)
-        if free:
-            return free.pop()
-    return np.empty(shape)
-
-
-# ---------------------------------------------------------------------------
 # GELU
 
 
@@ -144,7 +102,7 @@ def normal_cdf(x):
     """Standard normal CDF ``Phi(x) = 0.5 * (1 + erf(x / sqrt(2)))``."""
     # every step updates one fresh array: a large temporary freed mid-pass
     # can stay resident and raise the process's peak RSS
-    cdf = np.multiply(x, _INV_SQRT2, out=_empty(np.shape(x)))
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty(np.shape(x)))
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
@@ -210,7 +168,7 @@ def layernorm_fwd(x: Array, p: LayerNormParams) -> tuple[Array, LayerNormCache]:
             f"layernorm dimension mismatch: input has {x.shape[-1]} features, "
             f"params expect {dim}"
         )
-    xhat = np.subtract(x, x.mean(axis=-1, keepdims=True), out=_empty(x.shape))
+    xhat = x - x.mean(axis=-1, keepdims=True)
     y = np.multiply(xhat, xhat)
     inv_std = y.mean(axis=-1, keepdims=True)
     inv_std += p.eps

@@ -8,12 +8,13 @@ records in the batch; the loss applies its 1/q root over the whole batch.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor, tree
+from . import tree
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError
 from .griddata import (
@@ -215,6 +216,22 @@ def predict_batches(
 # training loop
 
 
+def keep_freed_memory() -> None:
+    """Let glibc keep the memory a train step frees, for the next step to reuse.
+
+    With its default thresholds, glibc gives the free top of its heap back to
+    the kernel and unmaps each large array when it is freed, so every step
+    faults its caches in afresh. The setting holds until the process exits;
+    where the C library has no ``mallopt``, nothing is set.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    # ctypes passes and returns a C int by default, as mallopt(int, int) does
+    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD, at the ceiling of glibc's dynamic one
+
+
 @dataclass
 class TrainResult:
     params: ModelParams
@@ -248,6 +265,7 @@ def train(
     ``config_text``, or, when that is empty, the configs this call ran with.
     """
     t0 = time.monotonic()
+    keep_freed_memory()
     model_cfg.validate()
     train_cfg.validate()
     loss_cfg.validate()
@@ -278,24 +296,16 @@ def train(
     for epoch in range(1, train_cfg.max_epochs + 1):
         order = shuffle_rng.permutation(parts.train)
         batch_losses = []
-        # the last step's temporal cache arrays, which the next forward
-        # reuses: a step holds one cache, and allocates its temporal part once
-        spare: list[Array] = []
         for start in range(0, order.size, train_cfg.batch_size):
             chunk = order[start : start + train_cfg.batch_size]
-            if chunk.size < train_cfg.batch_size:
-                spare = []  # a short last batch could not use them
             branch_maps = gather_windows(normed, chunk, temporal)
             targets = select_target(normed[chunk], params.predict_channel)
-            with tensor.reusing(spare):
-                pred, cache = batch_forward(branch_maps, params)
+            pred, cache = batch_forward(branch_maps, params)
             value, grad_pred = loss(pred, targets, loss_cfg)
             batch_backward(cache, grad_pred, params, grads)
-            spare = [a for _, a in tree.iter_leaves(cache.temporal) if a.base is None]
-            del pred, cache, grad_pred
+            del pred, cache, grad_pred  # the next forward runs with no cache alive
             adam_step(params, grads, adam)
             batch_losses.append(value)
-        del spare  # validation and the checkpoint writes run without it
         train_loss = float(np.mean(batch_losses))
 
         val_pred = predict_batches(params, normed, parts.val, temporal, train_cfg.batch_size)

@@ -202,6 +202,18 @@ def set_key(key, value):
     return lambda lines: [(f"{key}={value}" if ln.startswith(f"{key}=") else ln) for ln in lines]
 
 
+def repeat_key(key, value):
+    """Set ``key`` a second time, on the line after its own."""
+    def edit(lines):
+        out = []
+        for ln in lines:
+            out.append(ln)
+            if ln.startswith(f"{key}="):
+                out.append(f"{key}={value}")
+        return out
+    return edit
+
+
 def reshape_leaf(leaf, shape):
     def edit(lines):
         out = []
@@ -270,6 +282,8 @@ MALFORMED_MANIFESTS = [
     ("unnumbered layer", lambda ls: [ln.replace("spatial.layers.1.", "spatial.layers.one.") for ln in ls],
      "no tensor spatial.layers.1.token_mlp.w_in"),
     ("too many spatial layers", set_key("layers", "3"), "no tensor spatial.layers.2.token_mlp.w_in"),
+    ("layers set twice", repeat_key("layers", "3"),
+     "checkpoint [config]: config key 'layers' is set twice (lines 9 and 10)"),
     ("share_layers=false over shared offsets", share_offsets("spatial.layers.0.", "spatial.layers.1."),
      "spatial.layers.1.token_mlp.w_in shares storage with spatial.layers.0.token_mlp.w_in"),
     ("manifest not UTF-8", lambda ls: ["\udcff" + ls[0], *ls[1:]],

@@ -375,6 +375,15 @@ class TestTrain:
         assert run(["train", "--data", str(synth_data), "--config", str(cfg),
                     "--out", str(tmp_path / "m.ckpt")]) == 3
 
+    def test_repeated_config_key_exits_3(self, synth_data, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("layers=2\nseed=1\nlayers=3\n")
+        assert run(["train", "--data", str(synth_data), "--config", str(cfg),
+                    "--out", str(tmp_path / "m.ckpt")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config key 'layers' is set twice (lines 1 and 3)"]
+        assert not list(tmp_path.glob("m.ckpt*"))
+
     def test_missing_data_file_exits_2(self, tiny_config, tmp_path):
         assert run(["train", "--data", str(tmp_path / "nope.stgrid"),
                     "--config", str(tiny_config), "--out", str(tmp_path / "m.ckpt")]) == 2
@@ -750,13 +759,14 @@ class TestConfigRules:
 
     @staticmethod
     def base_config(tmp_path, key=None, value=None):
+        """A small run configuration with ``key`` set to ``value``, each key once."""
         path = tmp_path / "run.cfg"
-        text = ("patch = 2\nchannels_spatial = 4\nchannels_temporal = 4\nexpansion = 2\n"
-                "layers = 1\ntrend = 0\nperiod = 2\ncloseness = 2\nperiod_interval = 12\n"
-                "max_epochs = 2\nbatch_size = 16\nlr = 0.003\n")
+        keys = {"patch": "2", "channels_spatial": "4", "channels_temporal": "4", "expansion": "2",
+                "layers": "1", "trend": "0", "period": "2", "closeness": "2",
+                "period_interval": "12", "max_epochs": "2", "batch_size": "16", "lr": "0.003"}
         if key is not None:
-            text += f"{key} = {value}\n"
-        path.write_text(text)
+            keys[key] = value
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
         return path
 
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)])

@@ -766,41 +766,6 @@ class TestForwardOnly:
         assert e.tobytes() == want_e.tobytes() and y.tobytes() == want_y.tobytes()
 
 
-class TestReusedCache:
-    """A forward that reuses a dead cache's temporal arrays is a fresh forward."""
-
-    @pytest.mark.parametrize("share_layers", [True, False])
-    @pytest.mark.parametrize("share_branches", [True, False])
-    def test_equals_a_fresh_forward_bitwise(self, share_layers, share_branches):
-        cfg = small_config(share_layers=share_layers, share_branches=share_branches)
-        params = mixer.build_params(cfg, 4, 4, 2, seed=15)
-        rng = np.random.default_rng(16)
-        randomise_leaves(params, rng)
-        maps = desk_history(rng)
-        dead_batch, batch = (gather_windows(maps, np.array(a), cfg.temporal)
-                             for a in ([8, 9, 12], [10, 19, 15]))
-        want_pred, want_cache = mixer.batch_forward(batch, params)
-
-        _, dead = mixer.batch_forward(dead_batch, params)
-        spare = [a for _, a in tree.iter_leaves(dead.temporal) if a.base is None]
-        del dead
-        for a in spare:
-            a.fill(np.nan)  # an entry the forward does not overwrite shows
-        with tensor.reusing(spare):
-            pred, cache = mixer.batch_forward(batch, params)
-
-        assert pred.tobytes() == want_pred.tobytes()
-        got, want = tree.iter_leaves(cache), tree.iter_leaves(want_cache)
-        for (path, a), (_, b) in zip(got, want, strict=True):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), path
-        # every array the temporal caches keep is a spare one: xhat and cdf
-        # of each block
-        kept = {id(a) for layers in cache.temporal if layers for layer in layers
-                for a in (layer.token.ln.xhat, layer.token.cdf,
-                          layer.channel.ln.xhat, layer.channel.cdf)}
-        assert len(kept) > 0 and kept <= set(map(id, spare))
-
-
 class TestSharing:
     def test_shared_layers_accumulate_across_applications(self):
         # gradient of a 2-deep shared stack must differ from a 1-deep stack

@@ -48,6 +48,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match="learning_rate"):
             parse_config_text("learning_rate=0.1\n")
 
+    def test_repeated_key_names_it_and_both_lines(self):
+        with pytest.raises(ConfigError, match=r"'layers' is set twice \(lines 1 and 3\)"):
+            parse_config_text("layers=2\n# layers=4\nlayers = 3\n")
+
     def test_bad_value_names_key_and_line(self):
         with pytest.raises(ConfigError, match="patch.*line 2"):
             parse_config_text("seed=1\npatch=two\n")
