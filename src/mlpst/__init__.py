@@ -6,7 +6,7 @@ The package is organised as a small library plus a command-line front end:
 - ``mlpst.griddata``    grid maps, patch partitioning, temporal slicing
 - ``mlpst.mixer``       the model: spatial/temporal mixers, fusion, output head
 - ``mlpst.runconfig``   hyperparameters and the key=value run configuration
-- ``mlpst.checkpoint``  MLPST1 binary parameter checkpoints
+- ``mlpst.checkpoint``  MLPST2 binary parameter checkpoints
 - ``mlpst.training``    loss, Adam, mini-batch training loop
 - ``mlpst.evaluation``  metrics, naive baselines, evaluation reports
 - ``mlpst.ingestion``   trip aggregation, STGRID1 datasets, synthetic data

@@ -92,10 +92,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.period is not None and args.kind != "periodic":
+        raise ConfigError("--period applies only to --kind periodic")
     dataset = ingestion.synth(
         args.kind, args.height, args.width, args.steps,
         d=args.channels, interval_seconds=args.interval,
-        seed=args.seed, noise=args.noise, period=args.period,
+        seed=args.seed, noise=args.noise, period=24 if args.period is None else args.period,
     )
     ingestion.write_dataset(args.out, dataset)
     return 0
@@ -243,7 +245,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--interval", type=int, default=3600)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--period", type=int, default=24)
+    p.add_argument("--period", type=int, help="cycle length for --kind periodic (default 24)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on an STGRID1 dataset")

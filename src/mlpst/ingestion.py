@@ -409,10 +409,10 @@ def read_header(path) -> GridHeader:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER_END)
     if head[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"not an STGRID1 file: bad magic {head[:7]!r}", offset=0)
+        raise FormatError(f"{path}: not an STGRID1 file: bad magic {head[:7]!r}", offset=0)
     if len(head) < _HEADER_END:
         raise FormatError(
-            f"truncated header: expected {_HEADER_END} bytes, got {len(head)}",
+            f"{path}: truncated header: expected {_HEADER_END} bytes, got {len(head)}",
             offset=len(head),
         )
     h, w, d, t, interval, *box = _HEADER.unpack(head[len(MAGIC) :])
@@ -420,7 +420,7 @@ def read_header(path) -> GridHeader:
     actual = size - _HEADER_END
     if actual != expected:
         raise FormatError(
-            f"payload length mismatch: expected {expected} bytes for "
+            f"{path}: payload length mismatch: expected {expected} bytes for "
             f"{t}x{h}x{w}x{d} values, got {actual}",
             offset=_HEADER_END,
         )

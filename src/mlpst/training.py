@@ -261,7 +261,7 @@ def train(
     ``log``. Validation MAE is computed in the original data scale; the
     checkpoint with the lowest validation MAE wins. When ``checkpoint_path``
     is given, the best parameters so far are kept in ``<path>.best`` and the
-    final best set is written to ``<path>``. Their ``[config]`` is
+    final best set is written to ``<path>``. Their config manifest is
     ``config_text``, or, when that is empty, the configs this call ran with.
     """
     t0 = time.monotonic()

@@ -1,7 +1,9 @@
-"""Tests for the MLPST1 checkpoint format."""
+"""Tests for the MLPST2 checkpoint format."""
 
 import dataclasses
 import itertools
+import os
+import re
 import struct
 import tracemalloc
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from mlpst import checkpoint, mixer, tensor, tree
-from mlpst.errors import ConfigError, FormatError
+from mlpst.errors import ConfigError, FormatError, MlpstError
 from mlpst.griddata import NormStats, TemporalConfig
 
 STATS = NormStats(lo=np.array([0.5, 1.5]), hi=np.array([9.25, 3.75]))
@@ -93,7 +95,7 @@ class TestRoundTrip:
         assert loaded.params.spatial.n_layers == 2
 
     def test_every_structure_is_read_off_its_params(self, tmp_path):
-        # the saved [config] rebuilds the same paths, shapes, sharing and
+        # the saved config rebuilds the same paths, shapes, sharing and
         # layer counts for every combination of the structural keys
         windows = [
             TemporalConfig(trend=2, period=2, closeness=4, trend_interval=6, period_interval=3),
@@ -128,7 +130,9 @@ class TestFormatErrors:
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(checkpoint.MAGIC + b"\x01\x00")
-        with pytest.raises(FormatError, match=r"^truncated checkpoint header \(at byte 8\)$"):
+        with pytest.raises(FormatError, match=(
+            rf"^{re.escape(str(path))}: truncated checkpoint header \(at byte 8\)$"
+        )):
             checkpoint.load_checkpoint(path)
 
     def test_truncated_manifest(self, tmp_path):
@@ -138,7 +142,9 @@ class TestFormatErrors:
         blob = path.read_bytes()
         (length,) = struct.unpack("<I", blob[6:10])
         path.write_bytes(blob[:20])
-        with pytest.raises(FormatError, match=rf"^truncated manifest: expected {length} bytes \(at byte 20\)$"):
+        with pytest.raises(FormatError, match=(
+            rf"^{re.escape(str(path))}: truncated manifest: expected {length} bytes \(at byte 20\)$"
+        )):
             checkpoint.load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -150,8 +156,8 @@ class TestFormatErrors:
         payload = len(blob) - 10 - length
         path.write_bytes(blob[:-16])
         with pytest.raises(FormatError, match=(
-            rf"^truncated payload: expected at least {payload} bytes, got {payload - 16} "
-            rf"\(at byte {len(blob) - 16}\)$"
+            rf"^{re.escape(str(path))}: payload length mismatch: its config describes "
+            rf"{payload} bytes, got {payload - 16} \(at byte {10 + length}\)$"
         )):
             checkpoint.load_checkpoint(path)
 
@@ -214,91 +220,23 @@ def repeat_key(key, value):
     return edit
 
 
-def reshape_leaf(leaf, shape):
-    def edit(lines):
-        out = []
-        for ln in lines:
-            parts = ln.split("\t")
-            if parts[0] == leaf:
-                parts[1] = shape
-            out.append("\t".join(parts))
-        return out
-    return edit
-
-
-def drop_leaf(leaf):
-    return lambda lines: [ln for ln in lines if ln.split("\t")[0] != leaf]
-
-
-def share_offsets(src, dst):
-    """Point each row under the ``dst`` prefix at the offset of its twin under ``src``."""
-    def edit(lines):
-        rows = [ln.split("\t") for ln in lines]
-        offsets = {r[0]: r[2] for r in rows if r[0].startswith(src)}
-        for r in rows:
-            if r[0].startswith(dst):
-                r[2] = offsets[src + r[0][len(dst):]]
-        return ["\t".join(r) for r in rows]
-    return edit
-
-
-def move_offset(leaf, to):
-    """Point the row of ``leaf`` at offset ``to(offsets)``, ``offsets`` keyed by path."""
-    def edit(lines):
-        rows = [ln.split("\t") for ln in lines]
-        offsets = {r[0]: int(r[2]) for r in rows if len(r) == 3}
-        for r in rows:
-            if r[0] == leaf:
-                r[2] = str(to(offsets))
-        return ["\t".join(r) for r in rows]
-    return edit
-
-
-# build() has a 4x6x2 grid, patch 2 (6 patches), C_S = 4, d_T = 24, hidden 5
 MALFORMED_MANIFESTS = [
-    ("missing patch", drop_key("patch"), "[config] has no key 'patch'"),
-    ("missing grid_h", drop_key("h"), "[config] has no key 'h'"),
-    ("missing variant", drop_key("variant"), "[config] has no key 'variant'"),
-    ("missing layers", drop_key("layers"), "[config] has no key 'layers'"),
-    ("missing closeness", drop_key("closeness"), "[config] has no key 'closeness'"),
-    ("missing predict_channel", drop_key("predict_channel"), "[config] has no key 'predict_channel'"),
-    ("missing trend_interval", drop_key("trend_interval"), "[config] has no key 'trend_interval'"),
+    ("missing patch", drop_key("patch"), "checkpoint config has no key 'patch'"),
+    ("missing grid_h", drop_key("h"), "checkpoint config has no key 'h'"),
+    ("missing variant", drop_key("variant"), "checkpoint config has no key 'variant'"),
+    ("missing layers", drop_key("layers"), "checkpoint config has no key 'layers'"),
+    ("missing closeness", drop_key("closeness"), "checkpoint config has no key 'closeness'"),
+    ("missing predict_channel", drop_key("predict_channel"),
+     "checkpoint config has no key 'predict_channel'"),
+    ("missing trend_interval", drop_key("trend_interval"),
+     "checkpoint config has no key 'trend_interval'"),
     ("non-integer grid_w", set_key("w", "six"), "bad value for 'w'"),
-    ("transposed fc_w", reshape_leaf("spatial.fc_w", "4x8"), "spatial.fc_w has shape 4x8"),
-    ("ln_tokens sized by tokens", reshape_leaf("spatial.layers.0.ln_tokens.gamma", "6"),
-     "spatial.layers.0.ln_tokens.gamma has shape 6"),
-    ("token w_out too narrow", reshape_leaf("temporal_closeness.layers.0.token_mlp.w_out", "5x3"),
-     "temporal_closeness.layers.0.token_mlp.w_out has shape 5x3; the model structure needs 5x4"),
-    ("channel b_in of the wrong width", reshape_leaf("temporal_trend.layers.0.channel_mlp.b_in", "2"),
-     "temporal_trend.layers.0.channel_mlp.b_in has shape 2"),
-    ("head flattened", reshape_leaf("w_out", "1152"), "w_out has shape 1152; the model structure needs 24x48"),
-    ("fusion weight as a matrix", reshape_leaf("w_period", "4x6"), "w_period has shape 4x6"),
-    ("missing head bias", drop_leaf("b_out"), "no tensor b_out"),
-    ("missing layer leaf", drop_leaf("spatial.layers.0.ln_channels.beta"),
-     "no tensor spatial.layers.0.ln_channels.beta"),
-    ("unknown tensor row", lambda ls: ls + ["spatial.extra\t4\t0"], "unknown tensor spatial.extra"),
-    ("garbled tensor row", lambda ls: [("spatial.fc_w\tfour\t0" if ln.startswith("spatial.fc_w\t") else ln)
-                                      for ln in ls], "bad [tensors] row"),
-    ("unnumbered layer", lambda ls: [ln.replace("spatial.layers.1.", "spatial.layers.one.") for ln in ls],
-     "no tensor spatial.layers.1.token_mlp.w_in"),
-    ("too many spatial layers", set_key("layers", "3"), "no tensor spatial.layers.2.token_mlp.w_in"),
+    ("too many spatial layers", set_key("layers", "3"),
+     "payload length mismatch: its config describes"),
     ("layers set twice", repeat_key("layers", "3"),
-     "checkpoint [config]: config key 'layers' is set twice (lines 9 and 10)"),
-    ("share_layers=false over shared offsets", share_offsets("spatial.layers.0.", "spatial.layers.1."),
-     "spatial.layers.1.token_mlp.w_in shares storage with spatial.layers.0.token_mlp.w_in"),
+     "checkpoint config: config key 'layers' is set twice (lines 9 and 10)"),
     ("manifest not UTF-8", lambda ls: ["\udcff" + ls[0], *ls[1:]],
      "checkpoint manifest is not UTF-8 (at byte 10)"),
-    ("negative offset", move_offset("spatial.fc_w", lambda offsets: -16),
-     "bad [tensors] row 'spatial.fc_w\\t8x4\\t-16': negative offset"),
-    ("overlapping offsets", move_offset("w_trend", lambda offsets: offsets["spatial.fc_w"] + 8),
-     "checkpoint tensor w_trend overlaps spatial.fc_w in the payload"),
-    ("line before any section", lambda ls: ["stray"] + ls,
-     "checkpoint manifest line 'stray' is outside a section"),
-    ("tensor path listed twice", lambda ls: ls + [ln for ln in ls if ln.startswith("w_out\t")],
-     "checkpoint lists tensor w_out twice"),
-    ("pre-change manifest with a [model] section",
-     lambda ls: ["[model]", "grid_h=4", "grid_w=6", "grid_d=2", "spatial_n_layers=2"] + ls,
-     "unknown section [model]"),
 ]
 
 
@@ -336,30 +274,59 @@ def test_malformed_checkpoint_exits_2_with_one_line(tmp_path, capsys):
                      "--out", str(tmp_path / "p.stgrid")])
         err = capsys.readouterr().err
         assert code == 2
-        assert message in err and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "p.stgrid").exists()
 
 
-def test_checkpoint_without_stats_rows_exits_2_naming_them(tmp_path, capsys):
+def test_mlpst1_checkpoint_exits_2_with_one_line(tmp_path, capsys):
     from mlpst.cli import main
 
     cfg, params = build()
-    data = tmp_path / "d.stgrid"
-    assert main(["synth", "--kind", "periodic", "--out", str(data), "--height", "4",
-                 "--width", "6", "--steps", "60", "--period", "12", "--seed", "1"]) == 0
-    path = tmp_path / "m.ckpt"
+    path = tmp_path / "old.ckpt"
     checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
-    rewrite_manifest(path, lambda ls: [ln for ln in ls if not ln.startswith("stats.")])
-    out = tmp_path / "p.stgrid"
-    for argv in (
-        ["inspect", "--checkpoint", str(path)],
-        ["predict", "--data", str(data), "--checkpoint", str(path), "--out", str(out)],
-        ["evaluate", "--data", str(data), "--checkpoint", str(path)],
-    ):
-        capsys.readouterr()
-        assert main(argv) == 2
-        assert capsys.readouterr().err.splitlines() == ["error: checkpoint has no tensor stats.lo"]
-    assert not out.exists()
+    path.write_bytes(b"MLPST1" + path.read_bytes()[len(checkpoint.MAGIC):])
+    capsys.readouterr()
+    assert main(["inspect", "--checkpoint", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}: not an MLPST2 checkpoint: bad magic b'MLPST1' (at byte 0)"
+    ]
+
+
+def test_corrupted_checkpoint_fails_or_loads(tmp_path):
+    # every cut and any trailing bytes are refused; a changed manifest byte
+    # may still load (a changed seed or learning rate is a valid config), but
+    # any failure it causes is an MlpstError, which the CLI reports in one line
+    cfg = mixer.ModelConfig(
+        temporal=TemporalConfig(trend=0, period=2, closeness=2, period_interval=4),
+        channels_spatial=4, channels_temporal=4, expansion=2, n_layers=1,
+    )
+    params = mixer.build_params(cfg, 4, 4, 2, seed=0)
+    good = tmp_path / "good.ckpt"
+    checkpoint.save_checkpoint(good, params, cfg.temporal, "", STATS)
+    blob = good.read_bytes()
+    head = len(checkpoint.MAGIC)
+    (length,) = struct.unpack("<I", blob[head:head + 4])
+    path = tmp_path / "bad.ckpt"
+
+    path.write_bytes(blob + bytes(8))
+    with pytest.raises(FormatError):
+        checkpoint.load_checkpoint(path)
+    for cut in reversed(range(len(blob))):
+        os.truncate(path, cut)
+        with pytest.raises(FormatError):
+            checkpoint.load_checkpoint(path)
+
+    path.write_bytes(blob)
+    with open(path, "r+b") as fh:
+        for at in range(head + 4, head + 4 + length):
+            for byte in (b"\x00", b"\xff", b"9", b"\t", b"\n", b"-"):
+                os.pwrite(fh.fileno(), byte, at)
+                try:
+                    checkpoint.load_checkpoint(path)
+                except MlpstError:
+                    pass
+            os.pwrite(fh.fileno(), blob[at:at + 1], at)
 
 
 # edits that leave a parameter tree no model config can describe
@@ -381,13 +348,21 @@ def test_indescribable_tree_is_refused_at_save(tmp_path, edit):
     assert not path.exists()
 
 
+def test_stats_of_another_width_are_refused_at_save(tmp_path):
+    cfg, params = build()
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(FormatError, match="normalisation statistics"):
+        checkpoint.save_checkpoint(path, params, cfg.temporal, "",
+                                   NormStats(lo=np.zeros(3), hi=np.ones(3)))
+    assert not path.exists()
+
+
 def manifest_config(path) -> list[str]:
-    """The ``[config]`` lines of the checkpoint at ``path``."""
+    """The config lines of the checkpoint at ``path``."""
     blob = path.read_bytes()
     head = len(checkpoint.MAGIC)
     (length,) = struct.unpack("<I", blob[head:head + 4])
-    lines = blob[head + 4:head + 4 + length].decode("utf-8").splitlines()
-    return lines[1:lines.index("[tensors]")]
+    return blob[head + 4:head + 4 + length].decode("utf-8").splitlines()
 
 
 def test_window_other_than_the_params_own_is_refused_at_save(tmp_path):
@@ -401,7 +376,7 @@ def test_window_other_than_the_params_own_is_refused_at_save(tmp_path):
 
 
 def test_config_records_what_the_tree_cannot_show(tmp_path):
-    # without mixer layers no array is `expansion` wide; [config] still
+    # without mixer layers no array is `expansion` wide; the manifest still
     # records the value the parameters were built with, not the default 8
     cfg = mixer.ModelConfig(temporal=TemporalConfig(closeness=4, trend=0, period=0),
                             expansion=5, n_layers=0)

@@ -250,6 +250,9 @@ ERROR_PATHS = {
     "spec t_end <= t_start": (INGEST, spec(t_end=0), 3, "t_end > t_start"),
     "synth --period 0": (SYNTH + ["--period", "0"], {}, 3, "period must be >= 1, got 0"),
     "synth --height 0": (SYNTH + ["--height", "0"], {}, 3, "height, width, steps and channels"),
+    "synth --kind trend --period": (
+        ["synth", "--kind", "trend", "--out", "{tmp}/out", "--period", "-5"], {}, 3,
+        "--period applies only to --kind periodic"),
     "STGRID1 cut in its header": (["predict", "--data", "{tmp}/cut.stgrid", "--checkpoint",
                                    "{tmp}/absent.ckpt", "--out", "{tmp}/out"],
                                   {"cut.stgrid": b"STGRID1" + bytes(13)}, 2, "(at byte 20)"),
@@ -668,9 +671,22 @@ class TestPredictReadsItsWindow:
         assert self.predict(bad, trained, tmp_path / "pred.stgrid") == 2
         expected = 120 * 4 * 4 * 2 * 8
         assert capsys.readouterr().err == (
-            f"error: payload length mismatch: expected {expected} bytes for 120x4x4x2 values, "
-            f"got {expected + extra} (at byte 63)\n"
+            f"error: {bad}: payload length mismatch: expected {expected} bytes for 120x4x4x2 "
+            f"values, got {expected + extra} (at byte 63)\n"
         )
+
+
+def test_predict_error_names_the_bad_input(synth_data, trained, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(20))
+    out = tmp_path / "pred.stgrid"
+    for inputs in (["--data", str(bad), "--checkpoint", str(trained)],
+                   ["--data", str(synth_data), "--checkpoint", str(bad)]):
+        capsys.readouterr()
+        assert run(["predict", *inputs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+    assert not out.exists()
 
 
 class TestNonFinite:

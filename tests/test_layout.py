@@ -1,7 +1,8 @@
 """Module boundaries: no package module uses another module's private names,
 the package imports no third-party module beyond numpy and one scipy
-function, every function the benchmark's tracer wraps exists, and the
-arguments it reads are where it reads them."""
+function, every function the benchmark's tracer wraps exists, the
+arguments it reads are where it reads them, and README names each binary
+format's magic."""
 
 import ast
 import importlib
@@ -122,3 +123,12 @@ def test_tracer_reads_the_arguments_it_expects():
         fn = getattr(importlib.import_module(f"mlpst.{module}"), fname)
         params = list(inspect.signature(fn).parameters)
         assert {i: params[i] for i in pins} == pins, name
+
+
+def test_readme_file_formats_name_each_magic():
+    from mlpst import checkpoint, ingestion
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    for magic in (checkpoint.MAGIC, ingestion.MAGIC):
+        assert f"`{magic.decode()}`" in section
