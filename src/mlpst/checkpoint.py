@@ -2,6 +2,8 @@
 
 Layout: the magic string ``MLPST2``, a little-endian u32 byte length, a
 UTF-8 manifest of that length, then the raw float64 little-endian payload.
+The manifest ends in as many newlines as put the payload at a multiple of
+``PAYLOAD_ALIGN`` bytes from the start of the file.
 
 The manifest is the complete run configuration, one ``key=value`` line per
 ``RunConfig`` key (``RunConfig.to_text``). The model and window keys are the
@@ -15,20 +17,21 @@ The payload holds each distinct array of that tree once, in
 and ``stats.hi`` (``d`` values each); they are not trainable parameters and
 stay outside ``ModelParams``.
 
-Loading parses the manifest, builds the zero-filled skeleton it describes
-(``build_params`` with ``seed=None``), requires the payload to hold exactly
-the skeleton's values and reads them into its arrays in order. Saving
-refuses a tree that its own config does not describe. So a round trip is
-bit-exact and keeps the sharing topology, and a file that does not match its
-config raises ``FormatError``.
+Loading maps the file copy-on-write, parses the manifest, builds the
+zero-filled skeleton it describes (``build_params`` with ``seed=None``),
+requires the payload to hold exactly the skeleton's values and puts a view
+of the mapped payload in place of each of its arrays. Saving refuses a tree
+that its own config does not describe. So a round trip is bit-exact and
+keeps the sharing topology, and a file that does not match its config
+raises ``FormatError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import mmap
 import os
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,7 @@ from .mixer import ModelParams, build_params, check_window
 from .runconfig import RunConfig, TemporalConfig, parse_config_text
 
 MAGIC = b"MLPST2"
+PAYLOAD_ALIGN = 8  # the payload's offset in the file is a multiple of this
 
 
 @dataclass
@@ -100,6 +104,8 @@ def save_checkpoint(
             f"the grid needs ({cfg.d},)"
         )
     manifest = cfg.to_text().encode("utf-8")
+    # blank lines, which the config parser skips, align the payload
+    manifest += b"\n" * (-(len(MAGIC) + 4 + len(manifest)) % PAYLOAD_ALIGN)
 
     with atomic_open(path) as fh:
         fh.write(MAGIC)
@@ -110,54 +116,62 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint front to back; each distinct array is read straight into its leaf.
+    """Map a checkpoint copy-on-write; each distinct leaf is a view of its payload.
 
-    Only the header and the manifest are held as bytes; the payload is never
-    buffered whole. Every ``FormatError`` starts with ``path``.
+    The loaded arrays are writable, and writing to them changes neither the
+    file nor another load of it. They keep the file mapped while they live:
+    replacing the file by rename (as every mlpst writer does) leaves them
+    intact, but rewriting or truncating it in place is unsupported. Only a
+    payload that is not 8-byte aligned in memory (a file written before the
+    manifest was padded) or not in native byte order is copied. Every
+    ``FormatError`` starts with ``path``.
     """
     with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
-        header_end = len(MAGIC) + 4
-        head = fh.read(header_end)
-        if head[: len(MAGIC)] != MAGIC:
-            raise FormatError(f"{path}: not an MLPST2 checkpoint: bad magic {head[:6]!r}", offset=0)
-        if len(head) < header_end:
-            raise FormatError(f"{path}: truncated checkpoint header", offset=len(head))
-        (manifest_len,) = struct.unpack("<I", head[len(MAGIC) :])
-        manifest_end = header_end + manifest_len
-        if file_size < manifest_end:
-            raise FormatError(
-                f"{path}: truncated manifest: expected {manifest_len} bytes", offset=file_size
-            )
-        try:
-            manifest = fh.read(manifest_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(
-                f"{path}: checkpoint manifest is not UTF-8", offset=header_end + exc.start
-            ) from None
+        # mmap refuses an empty file, which has no magic either
+        data = (mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+                if os.fstat(fh.fileno()).st_size else b"")
+    header_end = len(MAGIC) + 4
+    head = data[:header_end]
+    if head[: len(MAGIC)] != MAGIC:
+        raise FormatError(f"{path}: not an MLPST2 checkpoint: bad magic {head[:6]!r}", offset=0)
+    if len(head) < header_end:
+        raise FormatError(f"{path}: truncated checkpoint header", offset=len(head))
+    (manifest_len,) = struct.unpack("<I", head[len(MAGIC) :])
+    manifest_end = header_end + manifest_len
+    if len(data) < manifest_end:
+        raise FormatError(
+            f"{path}: truncated manifest: expected {manifest_len} bytes", offset=len(data)
+        )
+    try:
+        manifest = data[header_end:manifest_end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{path}: checkpoint manifest is not UTF-8", offset=header_end + exc.start
+        ) from None
 
-        given = {line.partition("=")[0] for line in manifest.splitlines()}
-        for f in dataclasses.fields(RunConfig):
-            if f.name not in given:
-                raise FormatError(f"{path}: checkpoint config has no key {f.name!r}")
-        try:
-            cfg = parse_config_text(manifest)
-            params, stats, arrays = _skeleton(cfg)
-        except ConfigError as exc:
-            raise FormatError(f"{path}: checkpoint config: {exc}") from None
-        payload_len = file_size - manifest_end
-        needed = sum(arr.nbytes for arr in arrays)
-        if payload_len != needed:
-            raise FormatError(
-                f"{path}: payload length mismatch: its config describes {needed} bytes, "
-                f"got {payload_len}",
-                offset=manifest_end,
-            )
-        for arr in arrays:
-            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
-                raise FormatError(
-                    f"{path}: checkpoint payload changed while it was read", offset=fh.tell()
-                )
-            if sys.byteorder == "big":  # the payload is little-endian
-                arr.byteswap(inplace=True)
+    given = {line.partition("=")[0] for line in manifest.splitlines()}
+    for f in dataclasses.fields(RunConfig):
+        if f.name not in given:
+            raise FormatError(f"{path}: checkpoint config has no key {f.name!r}")
+    try:
+        cfg = parse_config_text(manifest)
+        params, stats, arrays = _skeleton(cfg)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: checkpoint config: {exc}") from None
+    payload_len = len(data) - manifest_end
+    needed = sum(arr.nbytes for arr in arrays)
+    if payload_len != needed:
+        raise FormatError(
+            f"{path}: payload length mismatch: its config describes {needed} bytes, "
+            f"got {payload_len}",
+            offset=manifest_end,
+        )
+    payload = np.require(
+        np.frombuffer(data, dtype="<f8", count=needed // 8, offset=manifest_end), np.float64, "A"
+    )
+    views, start = {}, 0
+    for arr in arrays:
+        views[id(arr)] = payload[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
+    params, stats = tree.tree_map(lambda arr: views[id(arr)], (params, stats))
     return Checkpoint(params=params, config=cfg, stats=stats)

@@ -144,9 +144,11 @@ def fit_norm(maps: Array) -> NormStats:
 def apply_norm(maps: Array, stats: NormStats) -> Array:
     """Min-max scale to [0, 1]; a constant channel maps to 0."""
     span = stats.hi - stats.lo
-    safe = np.where(span > 0, span, 1.0)
-    out = (maps - stats.lo) / safe
-    return np.where(span > 0, out, 0.0)
+    scaled = span > 0  # False for a zero, negative or NaN span
+    out = np.subtract(maps, stats.lo)
+    out /= np.where(scaled, span, 1.0)
+    out[..., ~scaled] = 0.0
+    return out
 
 
 def invert_norm(maps: Array, stats: NormStats) -> Array:

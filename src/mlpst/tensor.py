@@ -103,7 +103,11 @@ def normal_cdf(x):
     # every step updates one fresh array: a large temporary freed mid-pass
     # can stay resident and raise the process's peak RSS
     cdf = np.multiply(x, _INV_SQRT2, out=np.empty(np.shape(x)))
+    # erf is odd to the bit; scipy's branches on the sign of its argument,
+    # which random signs make the processor mispredict
+    np.abs(cdf, out=cdf)
     erf(cdf, out=cdf)
+    np.copysign(cdf, x, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return cdf

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import mmap
 import os
 import re
 import struct
@@ -97,27 +98,32 @@ class TestRoundTrip:
     def test_every_structure_is_read_off_its_params(self, tmp_path):
         # the saved config rebuilds the same paths, shapes, sharing and
         # layer counts for every combination of the structural keys
-        windows = [
-            TemporalConfig(trend=2, period=2, closeness=4, trend_interval=6, period_interval=3),
-            TemporalConfig(trend=0, period=2, closeness=2, period_interval=4),
-            TemporalConfig(trend=2, period=2, closeness=2, block_mode=True),
-        ]
         path = tmp_path / "m.ckpt"
-        for variant, share_layers, share_branches, n_layers, predict_channel, temporal in (
-            itertools.product(["full", "mlp_at", "mlp_sa"], [True, False], [True, False],
-                              range(4), [None, 1], windows)
-        ):
-            cfg = mixer.ModelConfig(
-                temporal=temporal, patch=2, channels_spatial=3, channels_temporal=4,
-                expansion=5, n_layers=n_layers, variant=variant, share_layers=share_layers,
-                share_branches=share_branches, predict_channel=predict_channel,
-            )
-            params = mixer.build_params(cfg, 4, 4, 2, seed=0)
+        for temporal, params in structures():
             checkpoint.save_checkpoint(path, params, temporal, "", STATS)
             loaded = checkpoint.load_checkpoint(path).params
             assert_params_equal(params, loaded)
             assert tree.tree_map(np.shape, loaded) == tree.tree_map(np.shape, params)
             assert first_holders(loaded) == first_holders(params)
+
+
+def structures():
+    """``(window, params)`` for every combination of the structural keys."""
+    windows = [
+        TemporalConfig(trend=2, period=2, closeness=4, trend_interval=6, period_interval=3),
+        TemporalConfig(trend=0, period=2, closeness=2, period_interval=4),
+        TemporalConfig(trend=2, period=2, closeness=2, block_mode=True),
+    ]
+    for variant, share_layers, share_branches, n_layers, predict_channel, temporal in (
+        itertools.product(["full", "mlp_at", "mlp_sa"], [True, False], [True, False],
+                          range(4), [None, 1], windows)
+    ):
+        cfg = mixer.ModelConfig(
+            temporal=temporal, patch=2, channels_spatial=3, channels_temporal=4,
+            expansion=5, n_layers=n_layers, variant=variant, share_layers=share_layers,
+            share_branches=share_branches, predict_channel=predict_channel,
+        )
+        yield temporal, mixer.build_params(cfg, 4, 4, 2, seed=0)
 
 
 class TestFormatErrors:
@@ -162,9 +168,11 @@ class TestFormatErrors:
             checkpoint.load_checkpoint(path)
 
 
-def test_load_reads_each_tensor_straight_into_its_leaf(tmp_path):
-    # the default model at 16x16x2 holds 6.4 MB of parameters; a loader that
-    # buffers the file, or a copy of its payload, peaks at 2x or 3x that
+def test_load_maps_the_payload_without_copying_it(tmp_path):
+    # the default model at 16x16x2 holds 6.4 MB of parameters; the load
+    # allocates only the skeleton's zeros, which the kernel hands out
+    # untouched, while a loader that copies the payload, or buffers the
+    # file, peaks at 2x or 3x that
     cfg = mixer.ModelConfig()
     params = mixer.build_params(cfg, 16, 16, 2, seed=8)
     stats = NormStats(lo=np.array([0.5, 1.5]), hi=np.array([9.25, 3.75]))
@@ -180,10 +188,90 @@ def test_load_reads_each_tensor_straight_into_its_leaf(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * param_bytes
+    leaves = [arr for _, arr in tree.iter_leaves(loaded.params)] + [loaded.stats.lo, loaded.stats.hi]
+    assert all(mapped(arr) and arr.flags.writeable and arr.flags.aligned for arr in leaves)
     assert_params_equal(params, loaded.params)
     assert first_holders(loaded.params) == first_holders(params)
     assert loaded.stats.lo.tobytes() == stats.lo.tobytes()
     assert loaded.stats.hi.tobytes() == stats.hi.tobytes()
+
+
+def mapped(arr) -> bool:
+    """Whether ``arr`` is a view of a file mapping, not of memory of its own."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return isinstance(arr.base, memoryview) and isinstance(arr.base.obj, mmap.mmap)
+
+
+def payload_offset(path) -> int:
+    """Where the payload of the checkpoint at ``path`` starts."""
+    head = len(checkpoint.MAGIC)
+    (length,) = struct.unpack("<I", path.read_bytes()[head:head + 4])
+    return head + 4 + length
+
+
+def test_every_payload_starts_aligned(tmp_path):
+    # echoed seeds of 1 to 8 digits shift the config text through every
+    # remainder, so each padding length from 0 to 7 newlines is written
+    path = tmp_path / "m.ckpt"
+    padding = set()
+    for i, (temporal, params) in enumerate(structures()):
+        checkpoint.save_checkpoint(path, params, temporal, f"seed={10 ** (i % 8)}\n", STATS)
+        offset = payload_offset(path)
+        assert offset % checkpoint.PAYLOAD_ALIGN == 0
+        manifest = path.read_bytes()[len(checkpoint.MAGIC) + 4:offset]
+        padding.add(len(manifest) - len(manifest.rstrip(b"\n")) - 1)
+        loaded = checkpoint.load_checkpoint(path).params
+        assert all(mapped(arr) for _, arr in tree.iter_leaves(loaded))
+    assert padding == set(range(checkpoint.PAYLOAD_ALIGN))
+
+
+def test_unpadded_checkpoint_loads_bit_exact(tmp_path):
+    # a file written before the manifest was padded: its payload starts at
+    # an offset that is not a multiple of 8, so the load copies it
+    cfg, params = build(share_branches=True)
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, params, cfg.temporal, "seed=3\n", STATS)
+    rewrite_manifest(path, lambda lines: [ln for ln in lines if ln])
+    assert payload_offset(path) % checkpoint.PAYLOAD_ALIGN != 0
+    loaded = checkpoint.load_checkpoint(path)
+    assert_params_equal(params, loaded.params)
+    assert first_holders(loaded.params) == first_holders(params)
+    assert loaded.params.temporal_trend is loaded.params.temporal_period
+    assert loaded.stats.lo.tobytes() == STATS.lo.tobytes()
+    assert loaded.stats.hi.tobytes() == STATS.hi.tobytes()
+    assert all(not mapped(arr) and arr.flags.aligned and arr.flags.writeable
+               for _, arr in tree.iter_leaves(loaded.params))
+
+
+def test_writing_a_loaded_leaf_changes_neither_the_file_nor_a_second_load(tmp_path):
+    cfg, params = build()
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
+    blob = path.read_bytes()
+    loaded = checkpoint.load_checkpoint(path)
+    for _, arr in tree.unique_leaves(loaded.params):
+        arr += 1.0
+    loaded.stats.lo[:] = -7.0
+    again = checkpoint.load_checkpoint(path)
+    assert path.read_bytes() == blob
+    assert_params_equal(params, again.params)
+    assert again.stats.lo.tobytes() == STATS.lo.tobytes()
+    np.testing.assert_array_equal(loaded.params.b_out, params.b_out + 1.0)
+
+
+def test_saving_over_a_live_checkpoint_leaves_its_values(tmp_path):
+    # the save renames a new file over the path; the loaded arrays keep the
+    # old file mapped
+    cfg, params = build()
+    path = tmp_path / "m.ckpt"
+    checkpoint.save_checkpoint(path, params, cfg.temporal, "", STATS)
+    loaded = checkpoint.load_checkpoint(path)
+    other = mixer.build_params(cfg, 4, 6, 2, seed=12)
+    checkpoint.save_checkpoint(path, other, cfg.temporal, "", NormStats(lo=np.zeros(2), hi=np.ones(2)))
+    assert_params_equal(params, loaded.params)
+    assert loaded.stats.lo.tobytes() == STATS.lo.tobytes()
+    assert_params_equal(other, checkpoint.load_checkpoint(path).params)
 
 
 def rewrite_manifest(path, edit):
@@ -307,6 +395,8 @@ def test_corrupted_checkpoint_fails_or_loads(tmp_path):
     blob = good.read_bytes()
     head = len(checkpoint.MAGIC)
     (length,) = struct.unpack("<I", blob[head:head + 4])
+    # the substitutions below reach the newlines that align the payload
+    assert blob[head + 4:head + 4 + length].endswith(b"\n\n")
     path = tmp_path / "bad.ckpt"
 
     path.write_bytes(blob + bytes(8))

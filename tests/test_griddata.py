@@ -226,3 +226,14 @@ class TestNormalisation:
         stats = griddata.fit_norm(maps)
         assert stats.lo[0] == stats.hi[0] == 5.0
         assert stats.lo[1] == 0.0 and stats.hi[1] == 1.0
+
+    def test_apply_norm_matches_the_two_where_formula_bitwise(self):
+        # a positive, zero, negative and NaN span, and a NaN map value
+        rng = np.random.default_rng(24)
+        maps = rng.uniform(-5, 50, size=(7, 3, 4, 4))
+        maps[2, 1, 1] = np.nan
+        stats = griddata.NormStats(lo=np.array([0.0, 2.5, 9.0, np.nan]),
+                                   hi=np.array([40.0, 2.5, 1.0, 3.0]))
+        span = stats.hi - stats.lo
+        want = np.where(span > 0, (maps - stats.lo) / np.where(span > 0, span, 1.0), 0.0)
+        assert griddata.apply_norm(maps, stats).tobytes() == want.tobytes()

@@ -2,7 +2,7 @@
 the package imports no third-party module beyond numpy and one scipy
 function, every function the benchmark's tracer wraps exists, the
 arguments it reads are where it reads them, and README names each binary
-format's magic."""
+format's magic and the checkpoint payload's alignment."""
 
 import ast
 import importlib
@@ -132,3 +132,4 @@ def test_readme_file_formats_name_each_magic():
     section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
     for magic in (checkpoint.MAGIC, ingestion.MAGIC):
         assert f"`{magic.decode()}`" in section
+    assert f"payload start at a multiple of {checkpoint.PAYLOAD_ALIGN} bytes" in section

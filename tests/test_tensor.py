@@ -332,6 +332,17 @@ class TestAgainstReplacedFormulas:
             assert tensor.gelu(v) == old_gelu(v)
             assert tensor.gelu_grad(v) == old_gelu_grad(v)
 
+    def test_normal_cdf_sign_restored_bitwise(self):
+        # erf runs on |x| and copysign restores the sign: bitwise the signed
+        # erf, since scipy's erf is odd to the bit
+        rng = np.random.default_rng(24)
+        x = np.concatenate([rng.normal(scale=s, size=200_000)
+                            for s in (1e-300, 1e-8, 1e-2, 1.0, 6.0, 40.0)])
+        edges = [0.0, 5e-324, 1.0, 6.0, 27.0, 40.0, np.inf]
+        x = np.concatenate([x, edges, np.negative(edges), [np.nan]])
+        want = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+        assert tensor.normal_cdf(x).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_layernorm_bitwise(self, shape):
         rng = np.random.default_rng(len(shape) * 100 + shape[-1])
